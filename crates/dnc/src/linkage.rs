@@ -14,11 +14,17 @@
 //! Forward/backward read weightings are `f^r = L w_r` and `b^r = Lᵀ w_r`.
 //! Invariants: zero diagonal and every row/column sum ≤ 1.
 
-use hima_tensor::{Backend, F32x8, Matrix};
+use hima_tensor::{Backend, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Temporal linkage state: the `N × N` linkage matrix and the precedence
 /// vector.
+///
+/// The linkage update is element-wise, so it has one implementation on
+/// every kernel tier and is bit-exact everywhere. The forward weighting
+/// `L·w_r` on [`Backend::Scalar`] (the bit-exact reference) runs several
+/// rows of `L` at once with independent accumulators, but each row is
+/// still one left-to-right fold; it is never re-associated.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TemporalLinkage {
     linkage: Matrix,
@@ -79,66 +85,24 @@ impl TemporalLinkage {
     /// HR.(1) kernel). Call [`TemporalLinkage::update_precedence`]
     /// afterwards to complete the step.
     ///
+    /// Each row is computed branch-free over every column and its diagonal
+    /// zeroed afterwards. The per-element expression is element-wise (no
+    /// reduction), so the loop vectorizes and every kernel tier shares
+    /// this one implementation bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `write_weighting.len() != len()`.
     pub fn update_linkage(&mut self, write_weighting: &[f32]) {
         let n = self.len();
         assert_eq!(write_weighting.len(), n, "write weighting length mismatch");
-
-        for i in 0..n {
-            let wi = write_weighting[i];
+        let precedence = &self.precedence;
+        for (i, &wi) in write_weighting.iter().enumerate() {
             let row = self.linkage.row_mut(i);
-            for (j, l) in row.iter_mut().enumerate() {
-                if i == j {
-                    *l = 0.0;
-                } else {
-                    *l = (1.0 - wi - write_weighting[j]) * *l + wi * self.precedence[j];
-                }
+            for ((l, &wj), &pj) in row.iter_mut().zip(write_weighting).zip(precedence) {
+                *l = (1.0 - wi - wj) * *l + wi * pj;
             }
-        }
-    }
-
-    /// Backend-dispatching form of [`TemporalLinkage::update_linkage`].
-    ///
-    /// The blocked tier computes each row branch-free over [`F32x8`] lanes
-    /// and zeroes the diagonal afterwards. The per-element expression
-    /// `(1 − w_w[i] − w_w[j]) · L[i,j] + w_w[i] · p[j]` is element-wise
-    /// (no reduction), so both tiers produce bit-identical matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `write_weighting.len() != len()`.
-    pub fn update_linkage_with(&mut self, write_weighting: &[f32], backend: Backend) {
-        match backend {
-            Backend::Scalar => self.update_linkage(write_weighting),
-            Backend::Blocked => {
-                let n = self.len();
-                assert_eq!(write_weighting.len(), n, "write weighting length mismatch");
-                let precedence = &self.precedence;
-                let n8 = n - n % 8;
-                for i in 0..n {
-                    let wi = write_weighting[i];
-                    let wiv = F32x8::splat(wi);
-                    let one_minus_wi = F32x8::splat(1.0 - wi);
-                    let row = self.linkage.row_mut(i);
-                    let mut j = 0;
-                    while j < n8 {
-                        let wv = F32x8::load(&write_weighting[j..j + 8]);
-                        let pv = F32x8::load(&precedence[j..j + 8]);
-                        let lv = F32x8::load(&row[j..j + 8]);
-                        // (1 − wi − w[j]) · l + wi · p[j], same operation
-                        // order as the scalar loop's left-associated
-                        // expression.
-                        one_minus_wi.sub(wv).mul(lv).add(wiv.mul(pv)).store(&mut row[j..j + 8]);
-                        j += 8;
-                    }
-                    for j in n8..n {
-                        row[j] = (1.0 - wi - write_weighting[j]) * row[j] + wi * precedence[j];
-                    }
-                    row[i] = 0.0;
-                }
-            }
+            row[i] = 0.0;
         }
     }
 
@@ -442,11 +406,25 @@ mod tests {
         assert_eq!(merged, merge_read_weighting(&b, &c, &f, [0.25, 0.25, 0.5]));
     }
 
+    /// The historical branchy HR.(1) loop: the bit-exact reference the
+    /// single branch-free implementation must reproduce.
+    fn reference_update_linkage(l: &mut TemporalLinkage, w: &[f32]) {
+        let n = l.len();
+        let p = l.precedence.clone();
+        for i in 0..n {
+            for j in 0..n {
+                l.linkage[(i, j)] =
+                    if i == j { 0.0 } else { (1.0 - w[i] - w[j]) * l.linkage[(i, j)] + w[i] * p[j] };
+            }
+        }
+    }
+
     #[test]
     fn blocked_linkage_update_is_bit_identical_to_scalar() {
-        // Element-wise kernel, no reductions: the branch-free blocked row
-        // update must reproduce the scalar branchy loop bit for bit,
-        // including at non-multiple-of-8 sizes and for forward/backward.
+        // Element-wise kernel, no reductions: the branch-free row update
+        // that every tier runs must reproduce the branchy reference loop
+        // bit for bit, including at non-multiple-of-8 sizes; the
+        // transposed read stays bit-identical across tiers too.
         for n in [1usize, 7, 8, 9, 16, 23, 128] {
             let mut a = TemporalLinkage::new(n);
             let mut b = TemporalLinkage::new(n);
@@ -459,11 +437,14 @@ mod tests {
                         *x /= s;
                     }
                 }
-                a.update_linkage_with(&w, Backend::Scalar);
+                reference_update_linkage(&mut a, &w);
                 a.update_precedence(&w);
-                b.update_linkage_with(&w, Backend::Blocked);
+                b.update_linkage(&w);
                 b.update_precedence(&w);
-                assert_eq!(a, b, "n={n} t={t}");
+                let bits = |l: &TemporalLinkage| -> Vec<u32> {
+                    l.matrix().as_slice().iter().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(&a), bits(&b), "n={n} t={t}");
 
                 let r: Vec<f32> = (0..n).map(|i| ((i + t) as f32 * 0.11).sin().abs() / n as f32).collect();
                 let mut fa = vec![f32::NAN; n];

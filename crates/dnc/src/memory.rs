@@ -471,7 +471,7 @@ impl MemoryUnit {
         // HR.(1): linkage (uses the previous precedence).
         {
             let (linkage, w_w) = (&mut self.linkage, &self.scratch.w_w);
-            self.profile.time(KernelId::Linkage, || linkage.update_linkage_with(w_w, be));
+            self.profile.time(KernelId::Linkage, || linkage.update_linkage(w_w));
         }
         // HR.(2): precedence.
         {

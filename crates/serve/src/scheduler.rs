@@ -679,10 +679,12 @@ impl Group {
             sess.queue.truncate(sess.replay_left);
             sess.deadline = None;
             let (reply, _outputs, _) = sess.reply.take().unwrap();
-            let _ = reply.send(Response::Error(ServeError::DeadlineExceeded { session: id }));
+            // Count and trace before replying: a client that wakes on the
+            // error must already see the shed in the metrics.
             self.shared.queue_sub(shed as i64);
             self.metrics.overload_deadline_expired.inc();
             self.metrics.trace(TraceKind::Shed, id, shed as u64);
+            let _ = reply.send(Response::Error(ServeError::DeadlineExceeded { session: id }));
         }
     }
 

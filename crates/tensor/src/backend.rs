@@ -5,10 +5,12 @@
 //! `row_norms_into`, the softmaxes) exists in two implementations behind one
 //! dispatching method.
 //!
-//! * [`Backend::Scalar`] — the original kernels on [`Matrix`] and
-//!   [`mod@crate::softmax`], unchanged. This tier is the **bit-exact
-//!   reference**: all bit-equality conformance suites (batched ≡ solo,
-//!   masked ≡ unmasked, `_into` ≡ allocating) are stated against it.
+//! * [`Backend::Scalar`] — the kernels on [`Matrix`] and
+//!   [`mod@crate::softmax`]. This tier is the **bit-exact reference**:
+//!   all bit-equality conformance suites (batched ≡ solo, masked ≡
+//!   unmasked, `_into` ≡ allocating) are stated against it. Its
+//!   reductions may keep several rows in flight with independent per-row
+//!   accumulators, but never re-associate within a row.
 //! * [`Backend::Blocked`] — cache-blocked loops over [`F32x8`] lanes with
 //!   multiple independent accumulators. Reductions (dot products, row
 //!   norms, softmax normalization) **re-associate** floating-point sums, so
@@ -17,9 +19,9 @@
 //!   terms differs from the scalar result by at most O(`n·ε`) relative to
 //!   the sum of absolute summands (property-tested in this crate, and
 //!   end-to-end in the workspace `backend_conformance` suite). Kernels
-//!   without reductions (`matvec_t_into`'s column-wise accumulation, the
-//!   linkage-style element-wise updates) keep scalar's per-element
-//!   expression order and stay bit-identical even on this tier.
+//!   without reductions (`matvec_t_into`'s column-wise accumulation)
+//!   keep scalar's per-element expression order and stay bit-identical
+//!   even on this tier.
 //!
 //! Both tiers are allocation-free on the `_into` paths, so either can sit
 //! under the zero-allocation steady-state stepping contract.
@@ -35,7 +37,10 @@ use serde::{Deserialize, Serialize};
 /// written before this axis existed deserialize to the bit-exact tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Backend {
-    /// The original scalar kernels — the bit-exact reference tier.
+    /// The scalar kernels — the bit-exact reference tier. A reduction
+    /// may run several rows at once with independent per-row
+    /// accumulators, but each row keeps its left-to-right fold and start
+    /// value, so results never depend on how many rows are in flight.
     #[default]
     Scalar,
     /// Cache-blocked, 8-lane vectorized kernels with unrolled independent

@@ -184,9 +184,8 @@ impl Matrix {
     pub fn matvec_into(&self, v: &[f32], out: &mut [f32]) {
         assert_eq!(v.len(), self.cols, "matvec shape mismatch");
         assert_eq!(out.len(), self.rows, "matvec output length mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.row(i).iter().zip(v).map(|(a, b)| a * b).sum();
-        }
+        // Every row starts from −0.0, the start value of `Iterator::sum`.
+        rows_dot_into(self, v, out, -0.0);
     }
 
     /// Transposed matrix-vector product `selfᵀ · v` without materializing the
@@ -529,38 +528,47 @@ impl Matrix {
     }
 }
 
-/// One output row of `lhs · otherᵀ`: `dst[j] = lhs · other.row(j)`.
-///
-/// Four output columns per pass so `lhs` stays hot in registers; each
-/// column's dot product keeps the exact `k`-order accumulation of
-/// [`Matrix::matvec`], so the kernel stays bit-compatible with per-lane
-/// stepping.
+/// One output row of `lhs · otherᵀ`: `dst[j] = lhs · other.row(j)`, with
+/// the historical start values of this kernel: +0.0 for rows of `other`
+/// in complete groups of four, −0.0 for the trailing ones.
 fn nt_row_into(lhs: &[f32], other: &Matrix, dst: &mut [f32]) {
-    let n = other.rows;
-    let mut j = 0;
-    while j + 4 <= n {
-        let r0 = other.row(j);
-        let r1 = other.row(j + 1);
-        let r2 = other.row(j + 2);
-        let r3 = other.row(j + 3);
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for (k, &l) in lhs.iter().enumerate() {
-            // Per-element k-order accumulation identical to `matvec`;
-            // only the j-traversal is widened.
-            a0 += l * r0[k];
-            a1 += l * r1[k];
-            a2 += l * r2[k];
-            a3 += l * r3[k];
+    rows_dot_into(other, lhs, dst, 0.0);
+}
+
+/// `dst[r] = m.row(r) · v` for every row, several rows in flight at once.
+///
+/// Each row is still one left-to-right fold over `k` of the products
+/// `m[r,k] · v[k]`, so its bits equal a one-row-at-a-time loop: rows in
+/// complete groups of four start from `quad_init`, the `rows % 4`
+/// trailing rows from `Iterator::sum`'s start value (−0.0). Only the
+/// number of independent accumulators changes, never the order within a
+/// row.
+fn rows_dot_into(m: &Matrix, v: &[f32], dst: &mut [f32], quad_init: f32) {
+    let n = m.rows;
+    let mut i = 0;
+    while i + 8 <= n {
+        dst[i..i + 8].copy_from_slice(&dot_rows::<8>(m, i, v, quad_init));
+        i += 8;
+    }
+    if i + 4 <= n {
+        dst[i..i + 4].copy_from_slice(&dot_rows::<4>(m, i, v, quad_init));
+        i += 4;
+    }
+    for (d, r) in dst[i..].iter_mut().zip(i..n) {
+        *d = m.row(r).iter().zip(v).map(|(a, b)| a * b).sum();
+    }
+}
+
+#[inline(always)]
+fn dot_rows<const R: usize>(m: &Matrix, i0: usize, v: &[f32], init: f32) -> [f32; R] {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &m.row(i0 + r)[..v.len()]);
+    let mut acc = [init; R];
+    for (k, &x) in v.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            *a += row[k] * x;
         }
-        dst[j] = a0;
-        dst[j + 1] = a1;
-        dst[j + 2] = a2;
-        dst[j + 3] = a3;
-        j += 4;
     }
-    for (d, jr) in dst[j..].iter_mut().zip(j..n) {
-        *d = lhs.iter().zip(other.row(jr)).map(|(a, b)| a * b).sum();
-    }
+    acc
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -753,7 +761,7 @@ mod tests {
 
     #[test]
     fn unrolled_matmul_nt_handles_non_multiple_of_four_widths() {
-        // Exercise the 4-wide unroll remainder: output widths 1..=9
+        // Exercise the multi-row block remainders: output widths 1..=9
         // against the matvec reference, element for element.
         for n in 1..=9usize {
             let a = Matrix::from_fn(3, 5, |i, j| ((i * 5 + j) as f32 * 0.17).sin());
@@ -762,6 +770,37 @@ mod tests {
             for i in 0..3 {
                 assert_eq!(got.row(i), &w.matvec(a.row(i))[..], "rows={n} lane={i}");
             }
+        }
+    }
+
+    /// One row at a time, left to right from `init`: the fold every
+    /// multi-row dot kernel must reproduce bit for bit.
+    fn one_row_fold(row: &[f32], v: &[f32], init: f32) -> u32 {
+        row.iter().zip(v).fold(init, |acc, (a, b)| acc + a * b).to_bits()
+    }
+
+    #[test]
+    fn multi_row_dot_kernels_match_one_row_folds() {
+        // Row counts around the 4- and 8-row blocks; the last row's
+        // products are all −0.0, so the result is the accumulator's start
+        // value: −0.0 for every `matvec` row (`Iterator::sum`), +0.0 for
+        // `matmul_nt` rows in complete groups of four and −0.0 for its
+        // `rows % 4` trailing rows.
+        for n in [1usize, 3, 4, 5, 127, 128, 129] {
+            let cols = 13;
+            let mut m = Matrix::from_fn(n, cols, |i, j| ((i * 7 + j * 3) as f32 * 0.37).sin());
+            m.row_mut(n - 1).fill(-0.0);
+            let v: Vec<f32> = (0..cols).map(|j| 0.25 + (j as f32 * 0.61).cos().abs()).collect();
+            let mut out = vec![f32::NAN; n];
+            m.matvec_into(&v, &mut out);
+            let nt = Matrix::from_rows(&[&v[..]]).matmul_nt(&m);
+            for i in 0..n {
+                let row = m.row(i);
+                assert_eq!(out[i].to_bits(), one_row_fold(row, &v, -0.0), "matvec n={n} row={i}");
+                let nt_init = if i < n - n % 4 { 0.0 } else { -0.0 };
+                assert_eq!(nt[(0, i)].to_bits(), one_row_fold(row, &v, nt_init), "nt n={n} row={i}");
+            }
+            assert_eq!(out[n - 1].to_bits(), (-0.0f32).to_bits(), "n={n}");
         }
     }
 

@@ -37,7 +37,11 @@ fn params() -> DncParams {
 /// goes idle for good after step 250, so the grid is never uniform for
 /// long.
 fn mask(t: usize) -> LaneMask {
-    LaneMask::from_fn(LANES, |b| (t * 7 + b * 3) % 11 != 0 && !(b == 7 && t >= 250))
+    LaneMask::from_fn(LANES, |b| {
+        let sits_out = (t * 7 + b * 3).is_multiple_of(11);
+        let retired = b == 7 && t >= 250;
+        !(sits_out || retired)
+    })
 }
 
 /// Deterministic inputs in `[-1, 1)` from a 64-bit LCG.

@@ -11,13 +11,24 @@
 //! every digest unchanged; a change that is allowed to move results
 //! must say so and re-record them.
 //!
+//! Three more fixtures, recorded before the sequential `Dnc`/`DncD`
+//! step paths and the separate monolithic engine were folded into the
+//! one tiled engine, pin what that collapse must preserve:
+//! - the outputs and carried read vectors of `Dnc::new` and
+//!   `DncD::new(params, 4, seed)` over 400 steps on the scalar tier;
+//! - the read-merge weights `α` that `EngineBuilder::calibrate_merge`
+//!   fits for a 4-tile engine;
+//! - the encoded `LaneState` bytes of every lane after the ragged
+//!   400-step run, for {monolithic, sharded(4)} × {f32, Q16.16} ×
+//!   {scalar, blocked} — stored sessions must keep importing.
+//!
 //! The transcendentals (`exp`, `tanh`, `ln`) come from the platform
 //! libm, whose last-ulp results are not specified across targets, so
 //! the fixture is pinned to x86_64 Linux where it was recorded.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
 use hima::dnc::allocation::SkimRate;
-use hima::dnc::{Datapath, DncParams, EngineBuilder, EngineSpec};
+use hima::dnc::{Datapath, Dnc, DncD, DncParams, EngineBuilder, EngineSpec};
 use hima::tensor::{Backend, LaneMask, Matrix, QFormat};
 
 const STEPS: usize = 400;
@@ -61,16 +72,35 @@ fn fnv1a(hash: &mut u64, values: &[f32]) {
     }
 }
 
-fn digest(spec: EngineSpec) -> u64 {
+fn fnv1a_bytes(hash: &mut u64, bytes: &[u8]) {
+    for &byte in bytes {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Runs the ragged 400-step grid for `spec`; returns the output digest
+/// and the digest of every lane's encoded `LaneState` at the end.
+fn run_grid(spec: EngineSpec) -> (u64, u64) {
     let mut engine = EngineBuilder::new(params()).with_spec(spec).seed(SEED).lanes(LANES).build();
     let mut out = Matrix::zeros(LANES, IO);
     let mut rng = 0x5eed_u64;
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut hash = FNV_OFFSET;
     for t in 0..STEPS {
         engine.step_batch_masked_into(&inputs(&mut rng), &mask(t), &mut out);
         fnv1a(&mut hash, out.as_slice());
     }
-    hash
+    let mut state_hash = FNV_OFFSET;
+    for lane in 0..LANES {
+        fnv1a_bytes(&mut state_hash, &engine.export_lane(lane).encode());
+    }
+    (hash, state_hash)
+}
+
+fn digest(spec: EngineSpec) -> u64 {
+    run_grid(spec).0
 }
 
 /// `(label, spec)` for every cell of the grid, in the fixture's order.
@@ -127,4 +157,77 @@ fn outputs_match_the_recorded_digests() {
         }
     }
     assert!(mismatches.is_empty(), "output digests changed:\n{}", mismatches.join("\n"));
+}
+
+/// Single-lane inputs: lane 0 of the grid's input stream.
+fn lane0_inputs(steps: usize) -> Vec<Vec<f32>> {
+    let mut rng = 0x5eed_u64;
+    (0..steps).map(|_| inputs(&mut rng).row(0).to_vec()).collect()
+}
+
+/// Digest of a sequential model's outputs and carried read vector over
+/// 400 steps.
+fn sequential_digest(mut step: impl FnMut(&[f32]) -> (Vec<f32>, Vec<f32>)) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for x in lane0_inputs(STEPS) {
+        let (y, read) = step(&x);
+        fnv1a(&mut hash, &y);
+        fnv1a(&mut hash, &read);
+    }
+    hash
+}
+
+#[test]
+fn sequential_models_match_the_recorded_digests() {
+    let mut dnc = Dnc::new(params(), SEED);
+    let got_dnc = sequential_digest(|x| {
+        let y = dnc.step(x);
+        (y, dnc.last_read().to_vec())
+    });
+    let mut dncd = DncD::new(params(), 4, SEED);
+    let got_dncd = sequential_digest(|x| {
+        let y = dncd.step(x);
+        (y, dncd.last_read().to_vec())
+    });
+    let want = (0xfce3_6f58_afdd_5451, 0xcade_dcdf_5c3f_71b5);
+    assert_eq!((got_dnc, got_dncd), want, "sequential Dnc / DncD(4) digests changed");
+}
+
+#[test]
+fn calibrated_merge_weights_match_the_recorded_bits() {
+    let alphas = EngineBuilder::new(params())
+        .sharded(4)
+        .seed(SEED)
+        .calibrate_merge(&lane0_inputs(64))
+        .expect("sharded builder with inputs calibrates");
+    let bits: Vec<u32> = alphas.alphas().iter().map(|a| a.to_bits()).collect();
+    let want = [0x3e91_0ca1, 0x3d0b_376f, 0x3bbf_8098, 0x3c7b_145f];
+    assert_eq!(bits, want, "calibrated α bits changed");
+}
+
+/// Recorded digests of the encoded `LaneState` of all 8 lanes after the
+/// ragged 400-step run (skim 0).
+const GOLDEN_STATE: [(&str, u64); 8] = [
+    ("monolithic/f32", 0x5b5f9fdc887acf36),
+    ("monolithic/f32+blocked", 0xe86820351410879c),
+    ("monolithic/Q16.16", 0x7bcf87a6ba486401),
+    ("monolithic/Q16.16+blocked", 0x39df0b5899f58d31),
+    ("sharded(4)/f32", 0xc0ffd891e6af0a23),
+    ("sharded(4)/f32+blocked", 0x60806596c19fbecb),
+    ("sharded(4)/Q16.16", 0xee9669a3a18a97e6),
+    ("sharded(4)/Q16.16+blocked", 0xf4f5c8e27831bdad),
+];
+
+#[test]
+fn lane_states_match_the_recorded_digests() {
+    let mut mismatches = Vec::new();
+    let cells = grid().into_iter().filter(|(_, spec)| spec.skim.fraction() == 0.0);
+    for ((_, spec), (want_label, want)) in cells.zip(GOLDEN_STATE) {
+        assert_eq!(spec.label(), want_label, "grid order drifted from the fixture");
+        let got = run_grid(spec).1;
+        if got != want {
+            mismatches.push(format!("{want_label}: got {got:#018x}, recorded {want:#018x}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "lane-state digests changed:\n{}", mismatches.join("\n"));
 }

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use hima_dnc::allocation::SkimRate;
     pub use hima_dnc::Topology as EngineTopology;
     pub use hima_dnc::{
-        BatchDnc, BatchDncD, BoxedEngine, Datapath, Dnc, DncD, DncParams, EngineBuilder,
+        BatchDncD, BoxedEngine, Datapath, Dnc, DncD, DncParams, EngineBuilder,
         EngineSpec, InterfaceVector, MemoryConfig, MemoryEngine, MemoryUnit,
     };
     pub use hima_engine::{Engine, EngineConfig, FeatureLevel};

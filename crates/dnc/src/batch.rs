@@ -1,9 +1,13 @@
-//! Batched, data-parallel execution of the DNC and DNC-D models.
+//! The one execution engine of the DNC and its distributed variant.
 //!
-//! The single-example [`Dnc::step`](crate::Dnc::step) path processes one
-//! token through one set of state memories. Serving-style workloads run
-//! *many independent sequences* through the **same weights**, which admits
-//! two structural speedups:
+//! [`BatchDncD`] steps `B` independent lanes of an `N_t`-tile DNC-D
+//! (paper §5.1) through one set of shared weights. The centralized DNC
+//! is the same engine with one tile whose memory covers all `N` rows —
+//! [`Topology::Monolithic`](crate::Topology::Monolithic) is sugar for
+//! that — and the sequential [`Dnc`](crate::Dnc) and
+//! [`DncD`](crate::DncD) models are one-lane views over it. Serving-style
+//! workloads run *many independent sequences* through the **same
+//! weights**, which admits two structural speedups:
 //!
 //! 1. **Shared-weight batching** — the controller, interface and output
 //!    projections become one `B × K` by `N × K`ᵀ product per step
@@ -11,19 +15,20 @@
 //!    the LSTM gates are activated as whole `B × H` row-blocks
 //!    ([`crate::lstm::Lstm::step_batch`]).
 //! 2. **Lane × shard data-parallelism** — each lane's memory units are
-//!    independent of every other lane's, and within a DNC-D lane the
-//!    `N_t` shards are independent of each other too. [`BatchDncD`]
-//!    flattens the whole `B × N_t` grid into **one** rayon task list per
-//!    step (the 2-D decomposition mirroring the hardware tiling), so a
-//!    single sharded lane still fans out across threads.
+//!    independent of every other lane's, and within a lane the `N_t`
+//!    shards are independent of each other too. The engine flattens the
+//!    whole `B × N_t` grid into **one** rayon task list per step (the 2-D
+//!    decomposition mirroring the hardware tiling), so a single sharded
+//!    lane still fans out across threads.
 //!
-//! Both engines support the fixed-point [`Datapath`] axis: with
-//! [`Datapath::Quantized`] every lane's memory unit is a
+//! The engine supports the fixed-point [`Datapath`] axis: with
+//! [`Datapath::Quantized`] every shard's memory unit is a
 //! [`QuantizedMemoryUnit`] that rounds its inputs and stored state to the
 //! Q-format each step (the controller and projections stay f32 — HiMA is
 //! the *memory-access* engine; the controller lives outside it).
 //!
-//! Both engines also run **ragged** batches: `step_batch_masked` takes a
+//! It also runs **ragged** batches:
+//! [`step_batch_masked`](MemoryEngine::step_batch_masked) takes a
 //! [`LaneMask`] naming the lanes still inside their episodes, advances
 //! only those (masked rows of every kernel are skipped, not
 //! zeroed-and-recomputed) and freezes the rest — so unequal-length
@@ -31,31 +36,44 @@
 //! ends. The uniform `step_batch` is the fully-active special case of
 //! the same kernel.
 //!
-//! Both [`BatchDnc`] and [`BatchDncD`] are **bit-compatible** with running
-//! their `B` lanes through the sequential models: the batched kernels use
-//! the same per-row accumulation order as `matvec`, and the per-lane
-//! memory step is the very same [`MemoryUnit`] code. The equivalence is
-//! asserted across every topology × lanes × datapath combination by the
+//! Lane `b` of a `B`-lane engine is **bit-identical** to a one-lane
+//! engine fed lane `b`'s inputs: the batched kernels use the same
+//! per-row accumulation order whatever the batch, and each lane's memory
+//! step is the very same [`MemoryUnit`] code. The equivalence is asserted
+//! across every topology × lanes × datapath combination by the
 //! trait-level conformance suite in `crates/dnc/tests/conformance.rs`
 //! (uniform) and the workspace-level `tests/ragged_conformance.rs`
-//! (masked).
+//! (masked); `tests/golden_outputs.rs` pins the outputs against digests
+//! recorded from earlier builds.
 //!
-//! Construct these engines through
-//! [`EngineBuilder`](crate::EngineBuilder); the type-specific
-//! constructors are deprecated shims.
+//! Construct the engine through [`EngineBuilder`](crate::EngineBuilder).
 
 use crate::builder::Datapath;
-use crate::distributed::{DncD, ReadMerge};
-use crate::dnc::Dnc;
+use crate::distributed::ReadMerge;
+use crate::engine::MemoryEngine;
 use crate::interface::InterfaceVector;
 use crate::lstm::{Lstm, LstmState};
 use crate::memory::{MemoryConfig, MemoryUnit};
-use crate::profile::KernelProfile;
+use crate::profile::{KernelId, KernelProfile};
 use crate::quantized::QuantizedMemoryUnit;
 use crate::workspace::StepWorkspace;
 use crate::DncParams;
 use hima_tensor::{Backend, LaneMask, Matrix};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+
+/// Seed offsets so each weight block draws an independent stream.
+const SEED_LSTM: u64 = 0x11;
+const SEED_INTERFACE: u64 = 0x22;
+const SEED_OUTPUT: u64 = 0x33;
+
+/// Builds a scaled-uniform projection matrix.
+fn projection(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let scale = 1.0 / (cols as f32).sqrt();
+    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-scale..scale))
+}
 
 /// A lane's memory unit on either datapath.
 #[derive(Debug, Clone)]
@@ -100,11 +118,11 @@ impl LaneMemory {
         }
     }
 
-    /// Switches wall-clock kernel sampling on or off in the wrapped unit.
-    fn set_profiling(&mut self, on: bool) {
+    /// The wrapped unit, for profiling control.
+    fn unit_mut(&mut self) -> &mut MemoryUnit {
         match self {
-            LaneMemory::F32(u) => u.set_profiling(on),
-            LaneMemory::Quantized(q) => q.set_profiling(on),
+            LaneMemory::F32(u) => u,
+            LaneMemory::Quantized(q) => q.inner_mut(),
         }
     }
 
@@ -127,8 +145,8 @@ impl LaneMemory {
 /// hidden rows the next step's controller consumes.
 ///
 /// This is the **state-splice** currency of the serving layer:
-/// [`BatchDnc::export_lane`] detaches a session's state from a lane grid,
-/// [`BatchDnc::import_lane`] re-attaches it to any lane of any engine
+/// [`MemoryEngine::export_lane`] detaches a session's state from a lane grid,
+/// [`MemoryEngine::import_lane`] re-attaches it to any lane of any engine
 /// built from the *same* spec and hyper-parameters (weights are a
 /// function of the seed alone, so lane slots are interchangeable), and
 /// the round trip is bit-exact — a session swapped out of a grid and
@@ -185,23 +203,26 @@ impl LaneState {
     }
 }
 
-/// One batch lane of a centralized DNC: the lane-private memory unit, the
-/// lane's last flattened read vector, and the lane's reusable
-/// interface-parse scratch (lanes step in parallel, so per-lane scratch
-/// cannot live in the shared [`StepWorkspace`]).
+/// One shard of one batch lane: the shard's memory unit, its last
+/// flattened read vector and its reusable interface-parse scratch — the
+/// unit of work of the 2-D (lane × shard) parallel decomposition.
 #[derive(Debug, Clone)]
-struct Lane {
+struct ShardLane {
     memory: LaneMemory,
     read: Vec<f32>,
     iv: InterfaceVector,
 }
 
-/// `B` independent DNC lanes sharing one set of weights.
+/// `B` independent DNC-D lanes sharing one set of weights (controller,
+/// per-shard interface projections, output projection and the read-merge
+/// `α`) — the only DNC execution engine. One tile is the centralized
+/// DNC.
 ///
-/// Lanes start from blank (reset) state; the weights are identical to a
-/// [`Dnc`] constructed with the same parameters and seed, so lane `b` of
-/// [`BatchDnc::step_batch`] reproduces `Dnc::step` on lane `b`'s input
-/// stream exactly.
+/// Lanes start from blank state, and lane `b` reproduces a one-lane
+/// engine fed lane `b`'s input stream exactly. Each step fans the
+/// flattened `B × N_t` grid of shard memory units out across rayon
+/// worker threads — the 2-D lane × shard decomposition — so even a
+/// single sharded lane (`lanes(1)`) parallelizes across its shards.
 ///
 /// # Example
 ///
@@ -217,397 +238,8 @@ struct Lane {
 ///
 /// // Lane 0 matches a sequential DNC fed lane 0's input.
 /// let mut dnc = Dnc::new(params, 7);
-/// let y0 = dnc.step(&[1.0, 0.0, 0.0]);
-/// hima_tensor::assert_close(y.row(0), &y0, 1e-6);
+/// assert_eq!(y.row(0), &dnc.step(&[1.0, 0.0, 0.0])[..]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct BatchDnc {
-    params: DncParams,
-    controller: Lstm,
-    interface_proj: Matrix,
-    output_proj: Matrix,
-    datapath: Datapath,
-    /// Kernel tier of the shared-weight projections and the controller
-    /// product — the same tier the lane memory units read from their
-    /// [`MemoryConfig`], so one engine runs one tier end to end.
-    backend: Backend,
-    lstm_states: Vec<LstmState>,
-    lanes: Vec<Lane>,
-    last_read: Matrix,
-    last_hidden: Matrix,
-    ws: StepWorkspace,
-}
-
-impl BatchDnc {
-    /// Creates `batch` blank lanes with weights identical to
-    /// `Dnc::new(params, seed)` and an exact memory unit per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    #[deprecated(note = "compose with `EngineBuilder::new(params).lanes(batch).seed(seed).build()`")]
-    pub fn new(params: DncParams, batch: usize, seed: u64) -> Self {
-        let mem_cfg = MemoryConfig::new(params.memory_size, params.word_size, params.read_heads);
-        Dnc::with_memory_config(params, mem_cfg, seed).batched_with(batch, Datapath::F32)
-    }
-
-    /// Creates `batch` blank lanes with weights identical to
-    /// `Dnc::with_memory_config(params, mem_cfg, seed)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or the memory geometry disagrees with
-    /// `params`.
-    #[deprecated(
-        note = "compose with `EngineBuilder` (`.skim()`, `.sorter()`, `.approx_softmax()` cover the MemoryConfig features)"
-    )]
-    pub fn with_memory_config(
-        params: DncParams,
-        mem_cfg: MemoryConfig,
-        batch: usize,
-        seed: u64,
-    ) -> Self {
-        // Reuse the sequential constructor so weight init stays defined in
-        // exactly one place.
-        Dnc::with_memory_config(params, mem_cfg, seed).batched_with(batch, Datapath::F32)
-    }
-
-    /// Internal constructor used by [`Dnc::batched`] and the builder:
-    /// shares weights with an existing model and starts every lane blank.
-    pub(crate) fn from_parts(
-        params: DncParams,
-        controller: Lstm,
-        interface_proj: Matrix,
-        output_proj: Matrix,
-        mem_cfg: MemoryConfig,
-        batch: usize,
-        datapath: Datapath,
-    ) -> Self {
-        assert!(batch > 0, "need at least one batch lane");
-        let read_width = params.read_heads * params.word_size;
-        let lanes = (0..batch)
-            .map(|_| Lane {
-                memory: LaneMemory::new(mem_cfg, datapath),
-                read: vec![0.0; read_width],
-                iv: InterfaceVector::zeroed(params.word_size, params.read_heads),
-            })
-            .collect();
-        let mut ws = StepWorkspace::new();
-        ws.ensure(&params, batch, 1);
-        Self {
-            params,
-            controller,
-            interface_proj,
-            output_proj,
-            datapath,
-            backend: mem_cfg.backend,
-            lstm_states: vec![LstmState::zeros(params.hidden_size); batch],
-            lanes,
-            last_read: Matrix::zeros(batch, read_width),
-            last_hidden: Matrix::zeros(batch, params.hidden_size),
-            ws,
-        }
-    }
-
-    /// Number of batch lanes `B`.
-    pub fn batch(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// The model hyper-parameters.
-    pub fn params(&self) -> &DncParams {
-        &self.params
-    }
-
-    /// The numeric datapath of the lane memory units.
-    pub fn datapath(&self) -> Datapath {
-        self.datapath
-    }
-
-    /// The kernel execution tier this engine runs on.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Lane `b`'s memory unit (for state inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= batch()`.
-    pub fn memory(&self, lane: usize) -> &MemoryUnit {
-        self.lanes[lane].memory.unit()
-    }
-
-    /// The `B × R·W` block of read vectors fed to the controller at the
-    /// next step (row `b` is lane `b`'s flattened read vectors).
-    pub fn last_read(&self) -> &Matrix {
-        &self.last_read
-    }
-
-    /// The `B × (H + R·W)` feature block `[h_t ; v_r]` per lane — the
-    /// batched analogue of [`Dnc::last_features`].
-    pub fn last_features(&self) -> Matrix {
-        Matrix::hcat(&self.last_hidden, &self.last_read)
-    }
-
-    /// Kernel profile aggregated across every lane's memory unit.
-    pub fn profile(&self) -> KernelProfile {
-        let mut p = KernelProfile::new();
-        for lane in &self.lanes {
-            p.merge(lane.memory.unit().profile());
-        }
-        p
-    }
-
-    /// Switches wall-clock kernel sampling on or off for every lane.
-    pub fn set_profiling(&mut self, on: bool) {
-        for lane in &mut self.lanes {
-            lane.memory.set_profiling(on);
-        }
-    }
-
-    /// Resets every lane's memory and recurrent state (weights unchanged)
-    /// **in place** — no buffer is reallocated, so reuse across episodes
-    /// (harnesses, pipeline engine workers) stays allocation-free.
-    pub fn reset(&mut self) {
-        for lane in &mut self.lanes {
-            lane.memory.reset();
-            lane.read.fill(0.0);
-        }
-        for state in &mut self.lstm_states {
-            state.clear();
-        }
-        self.last_read.as_mut_slice().fill(0.0);
-        self.last_hidden.as_mut_slice().fill(0.0);
-    }
-
-    /// Runs one time step for every lane: `inputs` is `B × input_size`
-    /// (row `b` is lane `b`'s token) and the result is `B × output_size`.
-    ///
-    /// The controller and both projections run as single shared-weight
-    /// batched products; the per-lane memory units step in parallel across
-    /// rayon worker threads.
-    ///
-    /// Allocating convenience over [`BatchDnc::step_batch_into`] (the one
-    /// allocation is the returned output block).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not `B × input_size`.
-    pub fn step_batch(&mut self, inputs: &Matrix) -> Matrix {
-        let mut y = Matrix::zeros(self.lanes.len(), self.params.output_size);
-        self.step_batch_into(inputs, &mut y);
-        y
-    }
-
-    /// Output-buffer form of [`BatchDnc::step_batch`]: the uniform
-    /// (fully-active) step writing into `y` — **zero heap allocations**
-    /// in the steady state, using the engine's cached full mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not `B × input_size`.
-    pub fn step_batch_into(&mut self, inputs: &Matrix, y: &mut Matrix) {
-        // Validate caller input *before* taking the cached mask, so a
-        // caller-triggered panic cannot strand the workspace with the
-        // 0-lane placeholder.
-        assert_eq!(inputs.rows(), self.lanes.len(), "batch size mismatch");
-        assert_eq!(inputs.cols(), self.params.input_size, "input width mismatch");
-        self.ws.ensure(&self.params, self.lanes.len(), 1);
-        // Borrow dance: the cached full mask cannot be borrowed while
-        // `self` is, so take it (a move — no allocation) and put it back.
-        let mask = std::mem::take(&mut self.ws.full_mask);
-        self.step_batch_masked_into(inputs, &mask, y);
-        self.ws.full_mask = mask;
-    }
-
-    /// Masked form of [`BatchDnc::step_batch`] for ragged batches: only
-    /// the lanes `mask` marks active advance — their controller rows,
-    /// interface/output projection rows and memory units run exactly as
-    /// in the uniform path — while an inactive lane's entire state
-    /// (LSTM, memory, last read vector) stays **frozen** and its kernel
-    /// rows are skipped, not zeroed-and-recomputed. The input rows of
-    /// inactive lanes are padding and never read.
-    ///
-    /// Active lanes are bit-identical to stepping each lane's episode
-    /// alone through a single-lane engine (the ragged conformance
-    /// property); a fully-active mask *is* [`BatchDnc::step_batch`].
-    /// Inactive rows of the returned output block are zero.
-    ///
-    /// Allocating convenience over [`BatchDnc::step_batch_masked_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not `B × input_size` or
-    /// `mask.lanes() != B`.
-    pub fn step_batch_masked(&mut self, inputs: &Matrix, mask: &LaneMask) -> Matrix {
-        let mut y = Matrix::zeros(self.lanes.len(), self.params.output_size);
-        self.step_batch_masked_into(inputs, mask, &mut y);
-        y
-    }
-
-    /// Output-buffer form of [`BatchDnc::step_batch_masked`]: writes the
-    /// `B × output_size` block into `y` (resized in place if its shape
-    /// differs). Every transient comes from the engine's
-    /// [`StepWorkspace`] or the per-lane scratch, so the steady state
-    /// performs **zero heap allocations** — and the result is bit-for-bit
-    /// what the allocating form returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not `B × input_size` or
-    /// `mask.lanes() != B`.
-    pub fn step_batch_masked_into(&mut self, inputs: &Matrix, mask: &LaneMask, y: &mut Matrix) {
-        let b = self.lanes.len();
-        assert_eq!(inputs.rows(), b, "batch size mismatch");
-        assert_eq!(inputs.cols(), self.params.input_size, "input width mismatch");
-        assert_eq!(mask.lanes(), b, "lane mask size mismatch");
-        self.ws.ensure(&self.params, b, 1);
-        if y.shape() != (b, self.params.output_size) {
-            *y = Matrix::zeros(b, self.params.output_size);
-        }
-        let ws = &mut self.ws;
-
-        // Controller on [x_t ; v_r^{t-1}], all active lanes at once
-        // (frozen lanes surface their held hidden state).
-        Matrix::hcat_into(inputs, &self.last_read, &mut ws.ctrl_in);
-        self.controller.step_batch_masked_into_with(
-            &mut self.lstm_states,
-            &ws.ctrl_in,
-            mask,
-            &mut ws.lstm,
-            &mut ws.hidden,
-            self.backend,
-        );
-
-        // Interface projection + parse (input skip connection), batched
-        // over the active rows.
-        Matrix::hcat_into(&ws.hidden, inputs, &mut ws.iface_in);
-        self.backend.matmul_nt_masked_into(
-            &ws.iface_in,
-            &self.interface_proj,
-            mask,
-            &mut ws.raw_shards[0],
-        );
-
-        // Memory unit step: active lanes are independent — fan out
-        // across threads; frozen lanes hold their memory state. Each
-        // lane parses into and steps through its own scratch, so the
-        // loop is allocation-free on every worker.
-        let (w, r) = (self.params.word_size, self.params.read_heads);
-        let raw = &ws.raw_shards[0];
-        self.lanes.par_iter_mut().enumerate().for_each(|(b, lane)| {
-            if !mask.is_active(b) {
-                return;
-            }
-            lane.iv.parse_into(raw.row(b), w, r);
-            lane.memory.step_into(&lane.iv, &mut lane.read);
-        });
-        for (b, lane) in self.lanes.iter().enumerate() {
-            if mask.is_active(b) {
-                self.last_read.row_mut(b).copy_from_slice(&lane.read);
-            }
-        }
-
-        // Output projection over [h ; v_r], batched over the active rows
-        // (inactive output rows stay zero).
-        Matrix::hcat_into(&ws.hidden, &self.last_read, &mut ws.out_in);
-        self.backend.matmul_nt_masked_into(&ws.out_in, &self.output_proj, mask, y);
-        self.last_hidden.as_mut_slice().copy_from_slice(ws.hidden.as_slice());
-    }
-
-    /// Runs a whole synchronized sequence: `steps[t]` is the `B ×
-    /// input_size` block for time `t`; the result holds one `B ×
-    /// output_size` block per step.
-    pub fn run_sequence_batch(&mut self, steps: &[Matrix]) -> Vec<Matrix> {
-        steps.iter().map(|x| self.step_batch(x)).collect()
-    }
-
-    /// Detaches a snapshot of lane `lane`'s complete session state (LSTM
-    /// state, memory unit, carried read vector and hidden row). The lane
-    /// itself is untouched; re-attaching the snapshot with
-    /// [`BatchDnc::import_lane`] — to any lane of any engine built from
-    /// the same spec/params/seed — is a bit-exact round trip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= batch()`.
-    pub fn export_lane(&self, lane: usize) -> LaneState {
-        let l = &self.lanes[lane];
-        LaneState {
-            lstm: self.lstm_states[lane].clone(),
-            shards: vec![(l.memory.clone(), l.read.clone())],
-            read: self.last_read.row(lane).to_vec(),
-            hidden: self.last_hidden.row(lane).to_vec(),
-        }
-    }
-
-    /// Replaces lane `lane`'s session state with a snapshot previously
-    /// detached by [`BatchDnc::export_lane`] (possibly from a different
-    /// lane or a different engine of the same configuration). After the
-    /// splice the lane steps bit-identically to the engine the snapshot
-    /// was exported from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= batch()` or the snapshot's geometry/datapath
-    /// disagrees with this engine (shard count, memory config, Q-format,
-    /// read/hidden widths).
-    pub fn import_lane(&mut self, lane: usize, state: &LaneState) {
-        assert_eq!(state.shards.len(), 1, "lane state shard count mismatch");
-        let l = &mut self.lanes[lane];
-        let (mem, shard_read) = &state.shards[0];
-        assert!(mem.matches_datapath(self.datapath), "lane state datapath mismatch");
-        assert_eq!(mem.unit().config(), l.memory.unit().config(), "memory config mismatch");
-        assert_eq!(shard_read.len(), l.read.len(), "read width mismatch");
-        assert_eq!(state.read.len(), self.last_read.cols(), "read width mismatch");
-        assert_eq!(state.hidden.len(), self.params.hidden_size, "hidden width mismatch");
-        assert_eq!(state.lstm.hidden.len(), self.params.hidden_size, "hidden width mismatch");
-        self.lstm_states[lane] = state.lstm.clone();
-        l.memory = mem.clone();
-        l.read.copy_from_slice(shard_read);
-        self.last_read.row_mut(lane).copy_from_slice(&state.read);
-        self.last_hidden.row_mut(lane).copy_from_slice(&state.hidden);
-    }
-
-    /// Resets a *single* lane to blank state (memory, recurrent state and
-    /// carried rows), leaving every other lane untouched — how a serving
-    /// grid recycles a freed lane slot for a fresh session. A reset lane
-    /// steps bit-identically to a lane of a freshly built engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= batch()`.
-    pub fn reset_lane(&mut self, lane: usize) {
-        let l = &mut self.lanes[lane];
-        l.memory.reset();
-        l.read.fill(0.0);
-        self.lstm_states[lane].clear();
-        self.last_read.row_mut(lane).fill(0.0);
-        self.last_hidden.row_mut(lane).fill(0.0);
-    }
-}
-
-/// One shard of one DNC-D batch lane: the shard's memory unit, its last
-/// flattened read vector and its reusable interface-parse scratch — the
-/// unit of work of the 2-D (lane × shard) parallel decomposition.
-#[derive(Debug, Clone)]
-struct ShardLane {
-    memory: LaneMemory,
-    read: Vec<f32>,
-    iv: InterfaceVector,
-}
-
-/// `B` independent DNC-D lanes sharing one set of weights (controller,
-/// per-shard interface projections, output projection and the read-merge
-/// `α`).
-///
-/// Lanes start from blank state; lane `b` of
-/// [`BatchDncD::step_batch`] reproduces [`DncD::step`] on lane `b`'s
-/// input stream exactly. Each step fans the flattened `B × N_t` grid of
-/// shard memory units out across rayon worker threads — the ROADMAP's
-/// 2-D lane × shard decomposition — so even a single sharded lane
-/// (`lanes(1)`) parallelizes across its shards.
 #[derive(Debug, Clone)]
 pub struct BatchDncD {
     params: DncParams,
@@ -616,9 +248,13 @@ pub struct BatchDncD {
     output_proj: Matrix,
     merge: ReadMerge,
     datapath: Datapath,
-    /// Kernel tier of the shared-weight products (see [`BatchDnc`]);
-    /// derived from the shard memory configs.
+    /// Kernel tier of the shared-weight projections and the controller
+    /// product — the same tier the shard memory units read from their
+    /// [`MemoryConfig`], so one engine runs one tier end to end.
     backend: Backend,
+    /// Controller timing ([`KernelId::Lstm`]); the memory units keep
+    /// their own profiles.
+    profile: KernelProfile,
     lstm_states: Vec<LstmState>,
     batch: usize,
     /// The flat `B × N_t` shard grid, lane-major: lane `b`'s shards are
@@ -632,36 +268,53 @@ pub struct BatchDncD {
 }
 
 impl BatchDncD {
-    /// Creates `batch` blank lanes with weights identical to
-    /// `DncD::new(params, tiles, seed)`.
+    /// Creates `batch` blank lanes of a `tiles`-shard engine whose shard
+    /// memories split `memory.memory_size` rows and otherwise share the
+    /// `memory` configuration. This is the one place weights are derived
+    /// from the seed: shard `t`'s interface projection draws from
+    /// `(seed ^ 0x22) + 7919·t`, so shard 0 of every engine — and a
+    /// one-tile engine entirely — carries the centralized DNC's weights.
+    /// The engine starts with uniform read-merge weights `α_i = 1/N_t`
+    /// and with profiling on.
+    ///
+    /// The rows split as evenly as possible: the first `N mod N_t` shards
+    /// get `⌈N/N_t⌉` rows and the rest `⌊N/N_t⌋`.
     ///
     /// # Panics
     ///
-    /// Panics if `batch == 0`, `tiles == 0` or `tiles >
-    /// params.memory_size`.
-    #[deprecated(
-        note = "compose with `EngineBuilder::new(params).sharded(tiles).lanes(batch).seed(seed).build()`"
-    )]
-    pub fn new(params: DncParams, tiles: usize, batch: usize, seed: u64) -> Self {
-        DncD::new(params, tiles, seed).batched_with(batch, Datapath::F32)
-    }
-
-    /// Internal constructor used by [`DncD::batched`] and the builder.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
+    /// Panics if `batch == 0`, `tiles == 0` or `tiles` exceeds the memory
+    /// rows.
+    pub(crate) fn new(
         params: DncParams,
-        controller: Lstm,
-        interface_projs: Vec<Matrix>,
-        output_proj: Matrix,
-        merge: ReadMerge,
-        shard_cfgs: Vec<MemoryConfig>,
-        batch: usize,
+        memory: MemoryConfig,
+        tiles: usize,
         datapath: Datapath,
+        batch: usize,
+        seed: u64,
     ) -> Self {
         assert!(batch > 0, "need at least one batch lane");
+        assert!(tiles > 0, "need at least one tile");
+        assert!(tiles <= memory.memory_size, "more tiles than memory rows");
         let read_width = params.read_heads * params.word_size;
-        let tiles = interface_projs.len();
-        let backend = shard_cfgs.first().map_or(Backend::Scalar, |cfg| cfg.backend);
+        let controller =
+            Lstm::new(params.input_size + read_width, params.hidden_size, seed ^ SEED_LSTM);
+        // The interface projects from [h_t ; x_t]: the input skip
+        // connection keeps write/read keys directly conditioned on the
+        // current token (Graves et al.'s controller emits the interface
+        // from all layer outputs, input included).
+        let iface_cols = params.hidden_size + params.input_size;
+        let interface_projs = (0..tiles as u64)
+            .map(|t| {
+                let shard_seed = (seed ^ SEED_INTERFACE).wrapping_add(t * 7919);
+                projection(params.interface_size(), iface_cols, shard_seed)
+            })
+            .collect();
+        let output_proj =
+            projection(params.output_size, params.hidden_size + read_width, seed ^ SEED_OUTPUT);
+        let (base, extra) = (memory.memory_size / tiles, memory.memory_size % tiles);
+        let shard_cfgs: Vec<MemoryConfig> = (0..tiles)
+            .map(|t| MemoryConfig { memory_size: base + usize::from(t < extra), ..memory })
+            .collect();
         let shards = (0..batch)
             .flat_map(|_| {
                 shard_cfgs.iter().map(|cfg| ShardLane {
@@ -678,9 +331,10 @@ impl BatchDncD {
             controller,
             interface_projs,
             output_proj,
-            merge,
+            merge: ReadMerge::uniform(tiles),
             datapath,
-            backend,
+            backend: memory.backend,
+            profile: KernelProfile::new(),
             lstm_states: vec![LstmState::zeros(params.hidden_size); batch],
             batch,
             shards,
@@ -690,57 +344,15 @@ impl BatchDncD {
         }
     }
 
-    /// Number of batch lanes `B`.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Number of distributed shards `N_t` per lane.
+    /// Number of distributed shards `N_t` per lane (1 for the centralized
+    /// DNC).
     pub fn tiles(&self) -> usize {
         self.interface_projs.len()
     }
 
-    /// The model hyper-parameters.
-    pub fn params(&self) -> &DncParams {
-        &self.params
-    }
-
-    /// The numeric datapath of the shard memory units.
-    pub fn datapath(&self) -> Datapath {
-        self.datapath
-    }
-
-    /// The kernel execution tier this engine runs on.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The `B × R·W` block of merged read vectors (row `b` is lane `b`).
-    pub fn last_read(&self) -> &Matrix {
-        &self.last_read
-    }
-
-    /// The `B × (H + R·W)` feature block `[h_t ; v_r]` per lane — the
-    /// batched analogue of [`DncD::last_features`].
-    pub fn last_features(&self) -> Matrix {
-        Matrix::hcat(&self.last_hidden, &self.last_read)
-    }
-
-    /// Kernel profile aggregated across every lane's shard memory units.
-    pub fn profile(&self) -> KernelProfile {
-        let mut p = KernelProfile::new();
-        for shard in &self.shards {
-            p.merge(shard.memory.unit().profile());
-        }
-        p
-    }
-
-    /// Switches wall-clock kernel sampling on or off for every shard of
-    /// every lane.
-    pub fn set_profiling(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.memory.set_profiling(on);
-        }
+    /// The read-merge weights used by every lane.
+    pub(crate) fn merge_weights(&self) -> &ReadMerge {
+        &self.merge
     }
 
     /// Replaces the read-merge weights used by every lane.
@@ -753,95 +365,74 @@ impl BatchDncD {
         self.merge = merge;
     }
 
-    /// Resets every lane's shard memories and recurrent state **in
-    /// place** (no reallocation; weights and merge unchanged).
-    pub fn reset(&mut self) {
+    /// Clears the controller's and every memory unit's kernel profile.
+    pub(crate) fn reset_profile(&mut self) {
+        self.profile.reset();
         for shard in &mut self.shards {
-            shard.memory.reset();
-            shard.read.fill(0.0);
+            shard.memory.unit_mut().reset_profile();
         }
-        for state in &mut self.lstm_states {
-            state.clear();
-        }
-        self.last_read.as_mut_slice().fill(0.0);
-        self.last_hidden.as_mut_slice().fill(0.0);
     }
 
-    /// Runs one time step for every lane (`inputs` is `B × input_size`),
-    /// returning the `B × output_size` block of outputs.
-    ///
-    /// The controller and every shard's interface projection run batched
-    /// over all lanes; the `B × N_t` grid of shard memory units is then
-    /// flattened into **one** parallel task list (each task is one
-    /// shard of one lane), and the per-lane shard reads are merged
-    /// (Eq. 4) deterministically afterwards. The flat grid keeps every
-    /// worker busy even when `B < threads` — the case the sequential
-    /// shard loop used to leave on the table.
+    /// Lane `lane`'s `N_t` shards.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` is not `B × input_size`.
-    pub fn step_batch(&mut self, inputs: &Matrix) -> Matrix {
+    /// Panics if `lane >= batch`.
+    fn lane_shards(&self, lane: usize) -> &[ShardLane] {
+        assert!(lane < self.batch, "lane index out of range");
+        let nt = self.tiles();
+        &self.shards[lane * nt..(lane + 1) * nt]
+    }
+
+    /// Lane `lane`'s shard memory units, in shard order.
+    pub(crate) fn shard_units(&self, lane: usize) -> impl Iterator<Item = &MemoryUnit> {
+        self.lane_shards(lane).iter().map(|s| s.memory.unit())
+    }
+
+    /// Lane `lane`'s per-shard read vectors of its last step, before the
+    /// merge (Eq. 4) — what [`ReadMerge::calibrate`] fits `α` on.
+    pub(crate) fn shard_reads(&self, lane: usize) -> impl Iterator<Item = &[f32]> {
+        self.lane_shards(lane).iter().map(|s| s.read.as_slice())
+    }
+}
+
+impl MemoryEngine for BatchDncD {
+    fn step_batch(&mut self, inputs: &Matrix) -> Matrix {
         let mut y = Matrix::zeros(self.batch, self.params.output_size);
         self.step_batch_into(inputs, &mut y);
         y
     }
 
-    /// Output-buffer form of [`BatchDncD::step_batch`]: the uniform
-    /// (fully-active) step writing into `y` — **zero heap allocations**
-    /// in the steady state, using the engine's cached full mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not `B × input_size`.
-    pub fn step_batch_into(&mut self, inputs: &Matrix, y: &mut Matrix) {
-        // Validate caller input before taking the cached mask (see
-        // [`BatchDnc::step_batch_into`]).
-        assert_eq!(inputs.rows(), self.batch, "batch size mismatch");
-        assert_eq!(inputs.cols(), self.params.input_size, "input width mismatch");
-        self.ws.ensure(&self.params, self.batch, self.interface_projs.len());
-        let mask = std::mem::take(&mut self.ws.full_mask);
-        self.step_batch_masked_into(inputs, &mask, y);
-        self.ws.full_mask = mask;
-    }
-
-    /// Masked form of [`BatchDncD::step_batch`] for ragged batches: the
-    /// flat parallel shard grid advances only the shards of **active**
-    /// lanes, so a lane whose episode has ended costs (almost) nothing —
-    /// its shard memories, merged read vector and recurrent state stay
-    /// frozen while live lanes advance.
-    ///
-    /// Active lanes are bit-identical to stepping each lane's episode
-    /// alone (ragged conformance suite); a fully-active mask *is*
-    /// [`BatchDncD::step_batch`]. Inactive rows of the returned output
-    /// block are zero.
-    ///
-    /// Allocating convenience over
-    /// [`BatchDncD::step_batch_masked_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not `B × input_size` or
-    /// `mask.lanes() != B`.
-    pub fn step_batch_masked(&mut self, inputs: &Matrix, mask: &LaneMask) -> Matrix {
+    fn step_batch_masked(&mut self, inputs: &Matrix, mask: &LaneMask) -> Matrix {
         let mut y = Matrix::zeros(self.batch, self.params.output_size);
         self.step_batch_masked_into(inputs, mask, &mut y);
         y
     }
 
-    /// Output-buffer form of [`BatchDncD::step_batch_masked`]: writes the
-    /// `B × output_size` block into `y` (resized in place if its shape
-    /// differs). Transients come from the engine's [`StepWorkspace`]
-    /// (one raw-interface block per shard) and the per-shard scratch, so
-    /// the steady state performs **zero heap allocations**, bit-identical
-    /// to the allocating form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not `B × input_size` or
-    /// `mask.lanes() != B`.
-    pub fn step_batch_masked_into(&mut self, inputs: &Matrix, mask: &LaneMask, y: &mut Matrix) {
-        let (b, nt) = (self.batch, self.interface_projs.len());
+    fn step_batch_into(&mut self, inputs: &Matrix, y: &mut Matrix) {
+        // Validate caller input *before* taking the cached mask, so a
+        // caller-triggered panic cannot strand the workspace with the
+        // 0-lane placeholder.
+        assert_eq!(inputs.rows(), self.batch, "batch size mismatch");
+        assert_eq!(inputs.cols(), self.params.input_size, "input width mismatch");
+        self.ws.ensure(&self.params, self.batch, self.tiles());
+        // Borrow dance: the cached full mask cannot be borrowed while
+        // `self` is, so take it (a move — no allocation) and put it back.
+        let mask = std::mem::take(&mut self.ws.full_mask);
+        self.step_batch_masked_into(inputs, &mask, y);
+        self.ws.full_mask = mask;
+    }
+
+    /// The controller and every shard's interface projection run batched
+    /// over the active lanes; the `B × N_t` grid of shard memory units is
+    /// then flattened into **one** parallel task list (each task is one
+    /// shard of one lane, and inactive lanes' shards return at once), and
+    /// the per-lane shard reads are merged (Eq. 4) deterministically
+    /// afterwards. Every transient comes from the engine's
+    /// [`StepWorkspace`] or the per-shard scratch, so the steady state
+    /// performs **zero heap allocations**.
+    fn step_batch_masked_into(&mut self, inputs: &Matrix, mask: &LaneMask, y: &mut Matrix) {
+        let (b, nt) = (self.batch, self.tiles());
         assert_eq!(inputs.rows(), b, "batch size mismatch");
         assert_eq!(inputs.cols(), self.params.input_size, "input width mismatch");
         assert_eq!(mask.lanes(), b, "lane mask size mismatch");
@@ -851,19 +442,23 @@ impl BatchDncD {
         }
         let ws = &mut self.ws;
 
+        // Controller on [x_t ; v_r^{t-1}], all active lanes at once
+        // (frozen lanes surface their held hidden state).
         Matrix::hcat_into(inputs, &self.last_read, &mut ws.ctrl_in);
-        self.controller.step_batch_masked_into_with(
-            &mut self.lstm_states,
-            &ws.ctrl_in,
-            mask,
-            &mut ws.lstm,
-            &mut ws.hidden,
-            self.backend,
-        );
+        self.profile.time(KernelId::Lstm, || {
+            self.controller.step_batch_masked_into_with(
+                &mut self.lstm_states,
+                &ws.ctrl_in,
+                mask,
+                &mut ws.lstm,
+                &mut ws.hidden,
+                self.backend,
+            )
+        });
 
         // One batched projection per shard (each shard has its own
         // interface weights but shares them across lanes), over the
-        // active rows only.
+        // active rows only (input skip connection).
         Matrix::hcat_into(&ws.hidden, inputs, &mut ws.iface_in);
         for (proj, raw) in self.interface_projs.iter().zip(ws.raw_shards.iter_mut()) {
             self.backend.matmul_nt_masked_into(&ws.iface_in, proj, mask, raw);
@@ -871,7 +466,8 @@ impl BatchDncD {
 
         // 2-D decomposition: the flat lane-major shard grid is the task
         // list; each task recovers its (b, s) coordinates from its index
-        // and inactive lanes' shards return immediately.
+        // and parses into and steps through its own scratch, so the loop
+        // is allocation-free on every worker.
         let (w, r) = (self.params.word_size, self.params.read_heads);
         let raws = &ws.raw_shards;
         self.shards.par_iter_mut().enumerate().for_each(|(i, shard)| {
@@ -886,10 +482,7 @@ impl BatchDncD {
         // Merge shard reads per active lane (Eq. 4), straight into the
         // lane's last-read row — sequential and deterministic regardless
         // of task scheduling above.
-        for bi in 0..b {
-            if !mask.is_active(bi) {
-                continue;
-            }
+        for bi in mask.active_lanes() {
             let lane_shards = &self.shards[bi * nt..(bi + 1) * nt];
             self.merge.merge_iter_into(
                 lane_shards.iter().map(|s| s.read.as_slice()),
@@ -897,33 +490,66 @@ impl BatchDncD {
             );
         }
 
+        // Output projection over [h ; v_r], batched over the active rows
+        // (inactive output rows stay zero).
         Matrix::hcat_into(&ws.hidden, &self.last_read, &mut ws.out_in);
         self.backend.matmul_nt_masked_into(&ws.out_in, &self.output_proj, mask, y);
         self.last_hidden.as_mut_slice().copy_from_slice(ws.hidden.as_slice());
     }
 
-    /// Runs a whole synchronized sequence (`steps[t]` is `B ×
-    /// input_size`), returning one `B × output_size` block per step.
-    pub fn run_sequence_batch(&mut self, steps: &[Matrix]) -> Vec<Matrix> {
-        steps.iter().map(|x| self.step_batch(x)).collect()
+    fn batch(&self) -> usize {
+        self.batch
     }
 
-    /// Detaches a snapshot of lane `lane`'s complete session state: LSTM
-    /// state, all `N_t` shard memory units with their per-shard read
-    /// vectors, and the carried merged-read/hidden rows. See
-    /// [`BatchDnc::export_lane`]; the round trip through
-    /// [`BatchDncD::import_lane`] is bit-exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= batch()`.
-    pub fn export_lane(&self, lane: usize) -> LaneState {
-        let nt = self.tiles();
-        assert!(lane < self.batch, "lane index out of range");
-        let shards = self.shards[lane * nt..(lane + 1) * nt]
-            .iter()
-            .map(|s| (s.memory.clone(), s.read.clone()))
-            .collect();
+    fn params(&self) -> &DncParams {
+        &self.params
+    }
+
+    fn last_read_rows(&self) -> Matrix {
+        self.last_read.clone()
+    }
+
+    fn last_read_row(&self, lane: usize) -> &[f32] {
+        self.last_read.row(lane)
+    }
+
+    fn last_features_rows(&self) -> Matrix {
+        Matrix::hcat(&self.last_hidden, &self.last_read)
+    }
+
+    fn profile(&self) -> KernelProfile {
+        let mut p = self.profile.clone();
+        for shard in &self.shards {
+            p.merge(shard.memory.unit().profile());
+        }
+        p
+    }
+
+    fn set_profiling(&mut self, on: bool) {
+        self.profile.set_enabled(on);
+        for shard in &mut self.shards {
+            shard.memory.unit_mut().set_profiling(on);
+        }
+    }
+
+    /// Resets every lane **in place** — no buffer is reallocated, so
+    /// reuse across episodes (harnesses, pipeline engine workers) stays
+    /// allocation-free. Weights and merge are unchanged.
+    fn reset(&mut self) {
+        for shard in &mut self.shards {
+            shard.memory.reset();
+            shard.read.fill(0.0);
+        }
+        for state in &mut self.lstm_states {
+            state.clear();
+        }
+        self.last_read.as_mut_slice().fill(0.0);
+        self.last_hidden.as_mut_slice().fill(0.0);
+    }
+
+    fn export_lane(&self, lane: usize) -> LaneState {
+        let shards =
+            self.lane_shards(lane).iter().map(|s| (s.memory.clone(), s.read.clone())).collect();
         LaneState {
             lstm: self.lstm_states[lane].clone(),
             shards,
@@ -932,16 +558,10 @@ impl BatchDncD {
         }
     }
 
-    /// Replaces lane `lane`'s session state with a snapshot detached by
-    /// [`BatchDncD::export_lane`] from any engine of the same
-    /// configuration. See [`BatchDnc::import_lane`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= batch()` or the snapshot's geometry/datapath
-    /// disagrees with this engine (shard count, per-shard memory config,
-    /// Q-format, read/hidden widths).
-    pub fn import_lane(&mut self, lane: usize, state: &LaneState) {
+    /// Checks the snapshot's geometry and datapath (shard count,
+    /// per-shard memory config, Q-format, read/hidden widths) before
+    /// touching the lane.
+    fn import_lane(&mut self, lane: usize, state: &LaneState) {
         let nt = self.tiles();
         assert!(lane < self.batch, "lane index out of range");
         assert_eq!(state.shards.len(), nt, "lane state shard count mismatch");
@@ -963,14 +583,7 @@ impl BatchDncD {
         self.last_hidden.row_mut(lane).copy_from_slice(&state.hidden);
     }
 
-    /// Resets a *single* lane (all its shards, recurrent state and
-    /// carried rows) to blank state, leaving every other lane untouched.
-    /// See [`BatchDnc::reset_lane`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= batch()`.
-    pub fn reset_lane(&mut self, lane: usize) {
+    fn reset_lane(&mut self, lane: usize) {
         let nt = self.tiles();
         assert!(lane < self.batch, "lane index out of range");
         for shard in &mut self.shards[lane * nt..(lane + 1) * nt] {
@@ -987,9 +600,20 @@ impl BatchDncD {
 mod tests {
     use super::*;
     use crate::builder::EngineBuilder;
+    use crate::{Dnc, DncD};
 
     fn params() -> DncParams {
         DncParams::new(16, 4, 2).with_hidden(24).with_io(5, 6)
+    }
+
+    /// A `lanes`-lane engine, centralized (`tiles = None`) or sharded.
+    fn engine(tiles: Option<usize>, lanes: usize, seed: u64) -> BatchDncD {
+        let b = EngineBuilder::new(params()).lanes(lanes).seed(seed);
+        match tiles {
+            Some(nt) => b.sharded(nt),
+            None => b,
+        }
+        .build_engine()
     }
 
     /// Stacks per-lane inputs for one time step into a `B × I` block.
@@ -1016,7 +640,7 @@ mod tests {
     fn batch_dnc_matches_sequential_lanes_exactly() {
         let (batch, steps) = (4, 6);
         let lanes = lane_inputs(batch, steps, 5);
-        let mut batched = Dnc::new(params(), 11).batched_with(batch, Datapath::F32);
+        let mut batched = engine(None, batch, 11);
         let mut sequential: Vec<_> = (0..batch).map(|_| Dnc::new(params(), 11)).collect();
         for t in 0..steps {
             let y = batched.step_batch(&step_block(&lanes, t));
@@ -1031,7 +655,7 @@ mod tests {
     fn batch_dncd_matches_sequential_lanes_exactly() {
         let (batch, steps) = (3, 5);
         let lanes = lane_inputs(batch, steps, 5);
-        let mut batched = DncD::new(params(), 4, 23).batched_with(batch, Datapath::F32);
+        let mut batched = engine(Some(4), batch, 23);
         let mut sequential: Vec<_> = (0..batch).map(|_| DncD::new(params(), 4, 23)).collect();
         for t in 0..steps {
             let y = batched.step_batch(&step_block(&lanes, t));
@@ -1045,7 +669,7 @@ mod tests {
     #[test]
     fn reset_restores_blank_lanes() {
         let lanes = lane_inputs(2, 3, 5);
-        let mut batched = Dnc::new(params(), 9).batched_with(2, Datapath::F32);
+        let mut batched = engine(None, 2, 9);
         let first = batched.step_batch(&step_block(&lanes, 0));
         for t in 1..3 {
             batched.step_batch(&step_block(&lanes, t));
@@ -1057,23 +681,22 @@ mod tests {
 
     #[test]
     fn builder_matches_direct_batched_construction() {
-        // `EngineBuilder::build` and the internal `batched_with` plumbing
-        // are the same construction path; pin that they stay bit-equal so
-        // the builder remains the canonical constructor.
+        // `EngineBuilder::build` and the engine's own constructor are the
+        // same construction path; pin that they stay bit-equal so the
+        // builder remains the canonical constructor.
         let x = Matrix::filled(2, 5, 0.25);
-        let mut direct = Dnc::new(params(), 31).batched_with(2, Datapath::F32);
-        let mut built = EngineBuilder::new(params()).lanes(2).seed(31).build();
-        assert_eq!(direct.step_batch(&x), built.step_batch(&x));
-
-        let mut direct_d = DncD::new(params(), 4, 31).batched_with(2, Datapath::F32);
-        let mut built_d = EngineBuilder::new(params()).sharded(4).lanes(2).seed(31).build();
-        assert_eq!(direct_d.step_batch(&x), built_d.step_batch(&x));
+        let p = params();
+        let memory = MemoryConfig::new(p.memory_size, p.word_size, p.read_heads);
+        for tiles in [1, 4] {
+            let mut direct = BatchDncD::new(p, memory, tiles, Datapath::F32, 2, 31);
+            let mut built = EngineBuilder::new(p).sharded(tiles).lanes(2).seed(31).build();
+            assert_eq!(direct.step_batch(&x), built.step_batch(&x), "tiles {tiles}");
+        }
     }
 
     #[test]
     fn batched_from_existing_model_shares_weights() {
-        let dnc = Dnc::new(params(), 31);
-        let mut batched = dnc.batched_with(2, Datapath::F32);
+        let mut batched = engine(None, 2, 31);
         let mut fresh = Dnc::new(params(), 31);
         let x = vec![0.25f32; 5];
         let block = Matrix::from_rows(&[x.as_slice(), x.as_slice()]);
@@ -1085,37 +708,47 @@ mod tests {
 
     #[test]
     fn profile_aggregates_all_lanes() {
-        let mut batched = Dnc::new(params(), 1).batched_with(3, Datapath::F32);
-        let x = Matrix::zeros(3, 5);
-        batched.step_batch(&x);
+        let mut batched = engine(None, 3, 1);
+        batched.set_profiling(true);
+        batched.step_batch(&Matrix::zeros(3, 5));
         let p = batched.profile();
-        assert_eq!(p.calls(crate::profile::KernelId::MemoryRead), 3 * 2, "3 lanes × 2 heads");
+        assert_eq!(p.calls(KernelId::MemoryRead), 3 * 2, "3 lanes × 2 heads");
+        assert_eq!(p.calls(KernelId::Lstm), 1, "one batched controller step");
+        batched.reset_profile();
+        assert_eq!(batched.profile().total_nanos(), 0);
     }
 
     #[test]
     fn dncd_profile_aggregates_lanes_and_shards() {
-        let mut batched = DncD::new(params(), 4, 1).batched_with(2, Datapath::F32);
+        let mut batched = engine(Some(4), 2, 1);
+        batched.set_profiling(true);
         batched.step_batch(&Matrix::zeros(2, 5));
         let p = batched.profile();
-        assert_eq!(
-            p.calls(crate::profile::KernelId::MemoryRead),
-            2 * 4 * 2,
-            "2 lanes × 4 shards × 2 heads"
-        );
+        assert_eq!(p.calls(KernelId::MemoryRead), 2 * 4 * 2, "2 lanes × 4 shards × 2 heads");
+    }
+
+    #[test]
+    fn unprofiled_engines_record_nothing() {
+        let mut batched = engine(Some(2), 2, 1);
+        batched.step_batch(&Matrix::zeros(2, 5));
+        assert_eq!(batched.profile().calls(KernelId::Lstm), 0);
+        assert_eq!(batched.profile().calls(KernelId::MemoryRead), 0);
     }
 
     #[test]
     fn quantized_datapath_lanes_hold_representable_state() {
         let q = hima_tensor::QFormat::q16_16();
-        let mut batched = Dnc::new(params(), 3).batched_with(2, Datapath::Quantized(q));
-        assert_eq!(batched.datapath(), Datapath::Quantized(q));
+        let mut batched =
+            EngineBuilder::new(params()).lanes(2).quantized(q).seed(3).build_engine();
         let lanes = lane_inputs(2, 3, 5);
         for t in 0..3 {
             batched.step_batch(&step_block(&lanes, t));
         }
         for lane in 0..2 {
-            for &x in batched.memory(lane).memory().as_slice() {
-                assert!(q.is_representable(x), "lane {lane} holds non-Q16.16 value {x}");
+            for unit in batched.shard_units(lane) {
+                for &x in unit.memory().as_slice() {
+                    assert!(q.is_representable(x), "lane {lane} holds non-Q16.16 value {x}");
+                }
             }
         }
     }
@@ -1152,7 +785,7 @@ mod tests {
     fn masked_batch_dnc_matches_sequential_ragged_lanes_exactly() {
         let lens = [5usize, 2, 4];
         let lanes = ragged_lane_inputs(&lens, 5);
-        let mut batched = Dnc::new(params(), 11).batched_with(3, Datapath::F32);
+        let mut batched = engine(None, 3, 11);
         let mut sequential: Vec<_> = (0..3).map(|_| Dnc::new(params(), 11)).collect();
         for t in 0..5 {
             let (block, mask) = masked_block(&lanes, t, 5);
@@ -1161,11 +794,11 @@ mod tests {
                 if t < lens[b] {
                     let want = dnc.step(&lanes[b][t]);
                     assert_eq!(y.row(b), &want[..], "lane {b} t {t}");
-                    assert_eq!(batched.last_read().row(b), dnc.last_read(), "lane {b} t {t}");
+                    assert_eq!(batched.last_read_row(b), dnc.last_read(), "lane {b} t {t}");
                 } else {
                     assert!(y.row(b).iter().all(|&x| x == 0.0), "ended lane {b} outputs zero");
                     assert_eq!(
-                        batched.last_read().row(b),
+                        batched.last_read_row(b),
                         dnc.last_read(),
                         "ended lane {b} read vector frozen at t {t}"
                     );
@@ -1178,7 +811,7 @@ mod tests {
     fn masked_batch_dncd_matches_sequential_ragged_lanes_exactly() {
         let lens = [1usize, 4, 3];
         let lanes = ragged_lane_inputs(&lens, 5);
-        let mut batched = DncD::new(params(), 4, 23).batched_with(3, Datapath::F32);
+        let mut batched = engine(Some(4), 3, 23);
         let mut sequential: Vec<_> = (0..3).map(|_| DncD::new(params(), 4, 23)).collect();
         for t in 0..4 {
             let (block, mask) = masked_block(&lanes, t, 5);
@@ -1189,7 +822,7 @@ mod tests {
                     assert_eq!(y.row(b), &want[..], "lane {b} t {t}");
                 } else {
                     assert_eq!(
-                        batched.last_read().row(b),
+                        batched.last_read_row(b),
                         dncd.last_read(),
                         "ended lane {b} read vector frozen at t {t}"
                     );
@@ -1201,8 +834,8 @@ mod tests {
     #[test]
     fn full_mask_is_bit_identical_to_step_batch() {
         let lanes = lane_inputs(3, 2, 5);
-        let mut a = Dnc::new(params(), 7).batched_with(3, Datapath::F32);
-        let mut b = Dnc::new(params(), 7).batched_with(3, Datapath::F32);
+        let mut a = engine(None, 3, 7);
+        let mut b = engine(None, 3, 7);
         for t in 0..2 {
             let block = step_block(&lanes, t);
             assert_eq!(a.step_batch(&block), b.step_batch_masked(&block, &LaneMask::full(3)));
@@ -1212,15 +845,15 @@ mod tests {
     #[test]
     fn fully_inactive_mask_is_a_frozen_no_op() {
         let lanes = lane_inputs(2, 2, 5);
-        let mut batched = Dnc::new(params(), 9).batched_with(2, Datapath::F32);
+        let mut batched = engine(None, 2, 9);
         batched.step_batch(&step_block(&lanes, 0));
-        let read_before = batched.last_read().clone();
+        let read_before = batched.last_read_rows();
         let y = batched
             .step_batch_masked(&step_block(&lanes, 1), &LaneMask::from(vec![false, false]));
         assert!(y.as_slice().iter().all(|&x| x == 0.0), "no lane advanced");
-        assert_eq!(batched.last_read(), &read_before, "state untouched");
+        assert_eq!(batched.last_read_rows(), read_before, "state untouched");
         // The next real step behaves as if the no-op never happened.
-        let mut control = Dnc::new(params(), 9).batched_with(2, Datapath::F32);
+        let mut control = engine(None, 2, 9);
         control.step_batch(&step_block(&lanes, 0));
         assert_eq!(
             batched.step_batch(&step_block(&lanes, 1)),
@@ -1231,21 +864,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "lane mask size mismatch")]
     fn masked_step_rejects_wrong_mask_length() {
-        Dnc::new(params(), 1)
-            .batched_with(2, Datapath::F32)
-            .step_batch_masked(&Matrix::zeros(2, 5), &LaneMask::full(3));
+        engine(None, 2, 1).step_batch_masked(&Matrix::zeros(2, 5), &LaneMask::full(3));
     }
 
     #[test]
     #[should_panic(expected = "need at least one batch lane")]
     fn rejects_zero_batch() {
-        Dnc::new(params(), 1).batched_with(0, Datapath::F32);
+        let p = params();
+        let memory = MemoryConfig::new(p.memory_size, p.word_size, p.read_heads);
+        BatchDncD::new(p, memory, 1, Datapath::F32, 0, 1);
     }
 
     #[test]
     #[should_panic(expected = "batch size mismatch")]
     fn rejects_wrong_batch_rows() {
-        Dnc::new(params(), 1).batched_with(2, Datapath::F32).step_batch(&Matrix::zeros(3, 5));
+        engine(None, 2, 1).step_batch(&Matrix::zeros(3, 5));
     }
 
     /// Engines warmed differently per lane, then lane states swapped
@@ -1255,7 +888,6 @@ mod tests {
     /// grid's session swaps rest on.
     #[test]
     fn export_import_swap_is_bit_exact() {
-        use crate::builder::EngineBuilder;
         use hima_tensor::QFormat;
 
         let build = |sharded: bool, quantized: bool| {
@@ -1307,15 +939,10 @@ mod tests {
     /// neighbour's in-flight state is untouched.
     #[test]
     fn reset_lane_is_a_fresh_lane_and_leaves_neighbours_alone() {
-        use crate::builder::EngineBuilder;
         for tiles in [None, Some(4)] {
             let lanes = lane_inputs(2, 4, 5);
-            let mut b = EngineBuilder::new(params()).lanes(2).seed(5);
-            if let Some(nt) = tiles {
-                b = b.sharded(nt);
-            }
-            let mut warmed = b.clone().build();
-            let mut fresh = b.build();
+            let mut warmed = engine(tiles, 2, 5);
+            let mut fresh = engine(tiles, 2, 5);
             for t in 0..2 {
                 warmed.step_batch(&step_block(&lanes, t));
             }
@@ -1336,9 +963,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "shard count mismatch")]
     fn import_rejects_wrong_shard_count() {
-        use crate::builder::EngineBuilder;
-        let mono = EngineBuilder::new(params()).lanes(1).seed(1).build();
-        let mut sharded = EngineBuilder::new(params()).sharded(4).lanes(1).seed(1).build();
+        let mono = engine(None, 1, 1);
+        let mut sharded = engine(Some(4), 1, 1);
         let state = mono.export_lane(0);
         sharded.import_lane(0, &state);
     }
@@ -1346,9 +972,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "datapath mismatch")]
     fn import_rejects_wrong_datapath() {
-        use crate::builder::EngineBuilder;
         use hima_tensor::QFormat;
-        let f32e = EngineBuilder::new(params()).lanes(1).seed(1).build();
+        let f32e = engine(None, 1, 1);
         let mut quant =
             EngineBuilder::new(params()).lanes(1).quantized(QFormat::new(16, 16)).seed(1).build();
         let state = f32e.export_lane(0);
@@ -1357,8 +982,7 @@ mod tests {
 
     #[test]
     fn lane_state_reports_geometry() {
-        use crate::builder::EngineBuilder;
-        let e = EngineBuilder::new(params()).sharded(4).lanes(1).seed(1).build();
+        let e = engine(Some(4), 1, 1);
         let state = e.export_lane(0);
         assert_eq!(state.shard_count(), 4);
         assert!(state.state_elems() > 0);

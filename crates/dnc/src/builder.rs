@@ -1,20 +1,18 @@
 //! [`EngineBuilder`]: one constructor over every engine variant.
 //!
-//! The repo used to expose five parallel model types with near-duplicate
-//! but incompatible constructors (`Dnc::new`, `DncD::new`, `BatchDnc::new`,
-//! `BatchDncD::new`, `QuantizedMemoryUnit::new`), hard-wiring every harness
-//! to one variant. The builder instead composes **orthogonal axes** —
-//! mirroring how the HiMA hardware itself is one engine with configuration
-//! knobs:
+//! HiMA is one tiled engine with configuration knobs, and so is the
+//! functional model: every build is a [`BatchDncD`]. The builder composes
+//! its **orthogonal axes**:
 //!
-//! * **topology** — [`Topology::Monolithic`] (centralized DNC) or
-//!   [`Topology::Sharded`] (`N_t`-tile DNC-D with a [`ReadMerge`] policy),
+//! * **topology** — [`Topology::Monolithic`] (centralized DNC: one tile
+//!   covering all `N` rows) or [`Topology::Sharded`] (`N_t`-tile DNC-D
+//!   with a [`ReadMerge`] policy),
 //! * **lanes** — how many independent sequences run through the shared
 //!   weights ([`EngineBuilder::lanes`]),
 //! * **datapath** — [`Datapath::F32`] or a fixed-point
 //!   [`Datapath::Quantized`] format,
-//! * plus the memory-unit feature knobs (skimming, PLA softmax, sorter)
-//!   and the weight seed.
+//! * plus the memory-unit feature knobs (skimming, PLA softmax, kernel
+//!   tier) and the weight seed.
 //!
 //! [`EngineBuilder::build`] returns a boxed [`MemoryEngine`], so harnesses
 //! sweep every axis from one code path.
@@ -37,10 +35,11 @@
 //! ```
 
 use crate::allocation::SkimRate;
+use crate::batch::BatchDncD;
 use crate::distributed::{DncD, ReadMerge};
 use crate::dnc::Dnc;
 use crate::engine::MemoryEngine;
-use crate::memory::{MemoryConfig, SorterKind};
+use crate::memory::MemoryConfig;
 use crate::DncParams;
 use hima_tensor::{Backend, QFormat};
 use serde::{Deserialize, Serialize};
@@ -276,7 +275,6 @@ impl EngineSpec {
 pub struct EngineBuilder {
     params: DncParams,
     spec: EngineSpec,
-    sorter: SorterKind,
     lanes: usize,
     merge: Option<ReadMerge>,
     seed: u64,
@@ -285,12 +283,11 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// Starts from the exact centralized configuration: monolithic
-    /// topology, one lane, f32 datapath, centralized sorter, seed 0.
+    /// topology, one lane, f32 datapath, seed 0.
     pub fn new(params: DncParams) -> Self {
         Self {
             params,
             spec: EngineSpec::monolithic(),
-            sorter: SorterKind::Centralized,
             lanes: 1,
             merge: None,
             seed: 0,
@@ -357,14 +354,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects the usage-sorter model (monolithic topology only; DNC-D
-    /// shards always sort locally — the sharding *is* the hardware's
-    /// distributed sort).
-    pub fn sorter(mut self, sorter: SorterKind) -> Self {
-        self.sorter = sorter;
-        self
-    }
-
     /// Sets the read-merge weights for a sharded engine (defaults to the
     /// uniform merge). Ignored by monolithic topologies.
     pub fn merge(mut self, merge: ReadMerge) -> Self {
@@ -391,7 +380,7 @@ impl EngineBuilder {
     }
 
     /// Applies a serialized [`EngineSpec`] (topology, datapath, skim,
-    /// approximation), keeping the params, lanes, sorter and seed.
+    /// approximation), keeping the params, lanes and seed.
     pub fn with_spec(mut self, spec: EngineSpec) -> Self {
         self.spec = spec;
         self
@@ -445,46 +434,38 @@ impl EngineBuilder {
 
     /// Builds the engine.
     ///
-    /// Weights are derived from the seed exactly as the legacy
-    /// constructors derived them, so a monolithic f32 build is
-    /// bit-compatible with [`Dnc::new`] and a sharded build with
-    /// [`DncD::new`] (conformance-tested in
-    /// `crates/dnc/tests/conformance.rs`).
+    /// Weights are derived from the seed alone, so a monolithic f32 build
+    /// steps bit-identically to [`Dnc::new`] and a sharded build to
+    /// [`DncD::new`] (pinned against recorded digests in
+    /// `tests/golden_outputs.rs`).
     ///
     /// # Panics
     ///
     /// Panics if the merge weights' shard count disagrees with the
     /// topology.
     pub fn build(&self) -> BoxedEngine {
-        let mut engine: BoxedEngine = match self.spec.topology {
-            Topology::Monolithic => {
-                let mem_cfg = MemoryConfig::new(
-                    self.params.memory_size,
-                    self.params.word_size,
-                    self.params.read_heads,
-                )
-                .with_sorter(self.sorter)
-                .with_skim(self.spec.skim)
-                .with_approx_softmax(self.spec.approx_softmax)
-                .with_backend(self.spec.backend);
-                let model = Dnc::with_memory_config(self.params, mem_cfg, self.seed);
-                Box::new(model.batched_with(self.lanes, self.spec.datapath))
-            }
-            Topology::Sharded { tiles } => {
-                let mut model = DncD::with_features_backend(
-                    self.params,
-                    tiles,
-                    self.seed,
-                    self.spec.skim,
-                    self.spec.approx_softmax,
-                    self.spec.backend,
-                );
-                if let Some(merge) = &self.merge {
-                    model.set_merge(merge.clone());
-                }
-                Box::new(model.batched_with(self.lanes, self.spec.datapath))
-            }
-        };
+        Box::new(self.build_engine())
+    }
+
+    /// [`EngineBuilder::build`] without the box: a monolithic topology is
+    /// one tile covering all `N` rows.
+    pub(crate) fn build_engine(&self) -> BatchDncD {
+        let p = &self.params;
+        let memory = MemoryConfig::new(p.memory_size, p.word_size, p.read_heads)
+            .with_skim(self.spec.skim)
+            .with_approx_softmax(self.spec.approx_softmax)
+            .with_backend(self.spec.backend);
+        let mut engine = BatchDncD::new(
+            self.params,
+            memory,
+            self.spec.tiles(),
+            self.spec.datapath,
+            self.lanes,
+            self.seed,
+        );
+        if let (Topology::Sharded { .. }, Some(merge)) = (self.spec.topology, &self.merge) {
+            engine.set_merge(merge.clone());
+        }
         engine.set_profiling(self.profiling);
         engine
     }
@@ -518,7 +499,6 @@ impl EngineBuilder {
         self.lanes = batch;
         self
     }
-
 }
 
 #[cfg(test)]
@@ -688,6 +668,24 @@ mod tests {
             .try_build()
             .expect("valid spec");
         assert_eq!(engine.step_batch(&Matrix::zeros(2, 4)).shape(), (2, 4));
+
+        // A spec the check accepts builds with no phantom and no empty
+        // shard, even when the tiles do not divide the rows.
+        for (rows, split) in [(5, [2, 1, 1, 1]), (6, [2, 2, 1, 1])] {
+            let mut uneven = p;
+            uneven.memory_size = rows;
+            let engine = EngineBuilder::new(uneven)
+                .with_spec(EngineSpec::sharded(4))
+                .try_build()
+                .expect("4 tiles over 5 or 6 rows is a valid spec");
+            let got: Vec<usize> = engine
+                .export_lane(0)
+                .shards
+                .iter()
+                .map(|(m, _)| m.unit().config().memory_size)
+                .collect();
+            assert_eq!(got, split, "N={rows}");
+        }
     }
 
     #[test]

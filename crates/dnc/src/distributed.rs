@@ -12,22 +12,19 @@
 //! The merge weights can be fit by least squares against a reference DNC's
 //! read vectors ([`ReadMerge::calibrate`]) — the inference-time analogue of
 //! the paper's "trainable weights determined by the LSTM".
+//!
+//! [`DncD`] is a one-lane view over the one engine, [`BatchDncD`], which
+//! steps the shards; it owns no step code of its own.
 
 use crate::allocation::SkimRate;
-use crate::dnc::{projection, SEED_INTERFACE, SEED_LSTM, SEED_OUTPUT};
-use crate::interface::InterfaceVector;
-use crate::lstm::Lstm;
-use crate::memory::{MemoryConfig, MemoryUnit, SorterKind};
-use crate::profile::{KernelId, KernelProfile};
+use crate::batch::BatchDncD;
+use crate::builder::EngineBuilder;
+use crate::engine::MemoryEngine;
+use crate::memory::MemoryUnit;
+use crate::profile::KernelProfile;
 use crate::DncParams;
-use hima_tensor::{Backend, Matrix};
-use rayon::prelude::*;
+use hima_tensor::Backend;
 use serde::{Deserialize, Serialize};
-
-/// Minimum total memory elements (`N × W`) before a sequential `DncD`
-/// step fans its shards out across threads; smaller models pay more in
-/// per-step thread spawns than the shard work saves.
-const SHARD_PAR_MIN_ELEMS: usize = 16 * 1024;
 
 /// Trainable read-vector merge weights `α` (Eq. 4).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,8 +69,8 @@ impl ReadMerge {
         self.merge_slices(&slices)
     }
 
-    /// Borrowing variant of [`ReadMerge::merge`], used by the batched
-    /// engines to merge in-place shard read buffers without cloning.
+    /// Borrowing variant of [`ReadMerge::merge`], merging shard read
+    /// buffers without cloning them.
     ///
     /// # Panics
     ///
@@ -88,7 +85,7 @@ impl ReadMerge {
 
     /// Output-buffer form of [`ReadMerge::merge_slices`] over any slice
     /// iterator: accumulates `Σ_i α_i v_r,i` into `out` (zeroed first)
-    /// without allocating — the steady-state merge of the batched DNC-D,
+    /// without allocating — the steady-state merge of the engine,
     /// which merges each lane's contiguous shard reads straight into the
     /// lane's last-read row. Same shard-order accumulation as
     /// [`ReadMerge::merge`], so results are bit-identical.
@@ -202,15 +199,7 @@ fn solve_spd(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DncD {
-    params: DncParams,
-    shards: Vec<MemoryUnit>,
-    controller: Lstm,
-    interface_projs: Vec<Matrix>,
-    output_proj: Matrix,
-    merge: ReadMerge,
-    last_read: Vec<f32>,
-    last_hidden: Vec<f32>,
-    profile: KernelProfile,
+    engine: BatchDncD,
 }
 
 impl DncD {
@@ -242,10 +231,9 @@ impl DncD {
         Self::with_features_backend(params, tiles, seed, skim, approx_softmax, Backend::Scalar)
     }
 
-    /// [`DncD::with_features`] plus the kernel execution tier: every
-    /// shard's memory config carries `backend`, so both the sequential
-    /// stepping here and the batched engines derived from it
-    /// ([`DncD::batched`]) run their hot kernels on the selected tier.
+    /// [`DncD::with_features`] plus the kernel execution tier, which the
+    /// controller, the projections and every shard's memory unit run on.
+    /// Kernel sampling is on.
     ///
     /// # Panics
     ///
@@ -258,83 +246,47 @@ impl DncD {
         approx_softmax: bool,
         backend: Backend,
     ) -> Self {
-        assert!(tiles > 0, "need at least one tile");
-        assert!(tiles <= params.memory_size, "more tiles than memory rows");
-
-        let read_width = params.read_heads * params.word_size;
-        let controller = Lstm::new(params.input_size + read_width, params.hidden_size, seed ^ SEED_LSTM);
-        let shard_rows = params.memory_size.div_ceil(tiles);
-
-        let mut shards = Vec::with_capacity(tiles);
-        let mut interface_projs = Vec::with_capacity(tiles);
-        for t in 0..tiles {
-            let rows = shard_rows.min(params.memory_size - t * shard_rows.min(params.memory_size));
-            let rows = rows.max(1);
-            let cfg = MemoryConfig::new(rows, params.word_size, params.read_heads)
-                .with_skim(skim)
-                .with_approx_softmax(approx_softmax)
-                .with_sorter(SorterKind::Centralized)
-                .with_backend(backend);
-            shards.push(MemoryUnit::new(cfg));
-            // Shard 0 draws the same stream as the centralized model. The
-            // interface projects from [h ; x] (input skip connection),
-            // matching `Dnc`.
-            let shard_seed = (seed ^ SEED_INTERFACE).wrapping_add(t as u64 * 7919);
-            interface_projs.push(projection(
-                params.interface_size(),
-                params.hidden_size + params.input_size,
-                shard_seed,
-            ));
-        }
-        let output_proj =
-            projection(params.output_size, params.hidden_size + read_width, seed ^ SEED_OUTPUT);
-
-        Self {
-            params,
-            shards,
-            controller,
-            interface_projs,
-            output_proj,
-            merge: ReadMerge::uniform(tiles),
-            last_read: vec![0.0; read_width],
-            last_hidden: vec![0.0; params.hidden_size],
-            profile: KernelProfile::new(),
-        }
+        let engine = EngineBuilder::new(params)
+            .sharded(tiles)
+            .seed(seed)
+            .skim(skim)
+            .approx_softmax(approx_softmax)
+            .backend(backend)
+            .profiling(true)
+            .build_engine();
+        Self { engine }
     }
 
     /// The model hyper-parameters.
     pub fn params(&self) -> &DncParams {
-        &self.params
+        self.engine.params()
     }
 
     /// Number of distributed shards `N_t`.
     pub fn tiles(&self) -> usize {
-        self.shards.len()
+        self.engine.tiles()
     }
 
-    /// The shard memory units (for inspection).
-    pub fn shards(&self) -> &[MemoryUnit] {
-        &self.shards
+    /// The shard memory units, in shard order (for inspection).
+    pub fn shards(&self) -> Vec<&MemoryUnit> {
+        self.engine.shard_units(0).collect()
     }
 
     /// The read-merge weights in use.
     pub fn merge_weights(&self) -> &ReadMerge {
-        &self.merge
+        self.engine.merge_weights()
     }
 
     /// The merged global read vector fed to the controller at the next
     /// step (Eq. 4's `v_r`).
     pub fn last_read(&self) -> &[f32] {
-        &self.last_read
+        self.engine.last_read_row(0)
     }
 
     /// The feature vector `[h_t ; v_r]` the output projection consumes —
     /// also the features a trained readout regresses on.
     pub fn last_features(&self) -> Vec<f32> {
-        let mut f = Vec::with_capacity(self.last_hidden.len() + self.last_read.len());
-        f.extend_from_slice(&self.last_hidden);
-        f.extend_from_slice(&self.last_read);
-        f
+        self.engine.last_features_rows().as_slice().to_vec()
     }
 
     /// Replaces the read-merge weights.
@@ -343,36 +295,23 @@ impl DncD {
     ///
     /// Panics if the shard count disagrees.
     pub fn set_merge(&mut self, merge: ReadMerge) {
-        assert_eq!(merge.shards(), self.shards.len(), "merge shard count mismatch");
-        self.merge = merge;
+        self.engine.set_merge(merge);
     }
 
     /// Switches wall-clock kernel sampling on or off for controller and
     /// all shards alike.
     pub fn set_profiling(&mut self, on: bool) {
-        self.profile.set_enabled(on);
-        for s in &mut self.shards {
-            s.set_profiling(on);
-        }
+        self.engine.set_profiling(on);
     }
 
     /// Merged kernel profile across controller and all shards.
     pub fn profile(&self) -> KernelProfile {
-        let mut p = self.profile.clone();
-        for s in &self.shards {
-            p.merge(s.profile());
-        }
-        p
+        self.engine.profile()
     }
 
     /// Resets memory and recurrent state (weights and merge unchanged).
     pub fn reset(&mut self) {
-        self.controller.reset();
-        for s in &mut self.shards {
-            s.reset();
-        }
-        self.last_read = vec![0.0; self.params.read_heads * self.params.word_size];
-        self.last_hidden = vec![0.0; self.params.hidden_size];
+        self.engine.reset();
     }
 
     /// Runs one time step and returns the output vector.
@@ -381,100 +320,12 @@ impl DncD {
     ///
     /// Panics if `input.len() != params.input_size`.
     pub fn step(&mut self, input: &[f32]) -> Vec<f32> {
-        let (_, y) = self.step_detailed(input);
-        y
-    }
-
-    /// Runs one time step, returning the per-shard read vectors (flattened
-    /// per shard) and the output.
-    pub fn step_detailed(&mut self, input: &[f32]) -> (Vec<Vec<f32>>, Vec<f32>) {
-        assert_eq!(input.len(), self.params.input_size, "input width mismatch");
-
-        let mut ctrl_in = Vec::with_capacity(input.len() + self.last_read.len());
-        ctrl_in.extend_from_slice(input);
-        ctrl_in.extend_from_slice(&self.last_read);
-        let controller = &mut self.controller;
-        let hidden = self.profile.time(KernelId::Lstm, || controller.step(&ctrl_in));
-
-        // Each shard gets its own sub interface vector (projected from
-        // [h ; x], matching `Dnc`) and executes the full soft write + soft
-        // read locally. Shards are mutually independent, so above a work
-        // threshold they fan out across rayon worker threads (the shard
-        // half of the 2-D lane × shard decomposition); below it the
-        // per-step thread-spawn overhead of tiny test models would
-        // dominate. Results land in per-shard slots either way, so the
-        // outcome is bit-identical at any thread count.
-        let mut iface_in = Vec::with_capacity(hidden.len() + input.len());
-        iface_in.extend_from_slice(&hidden);
-        iface_in.extend_from_slice(input);
-        let (w, r) = (self.params.word_size, self.params.read_heads);
-        let mut shard_reads: Vec<Vec<f32>> = vec![Vec::new(); self.shards.len()];
-        let parallel = self.shards.len() > 1
-            && self.params.memory_size * self.params.word_size >= SHARD_PAR_MIN_ELEMS;
-        if parallel {
-            let iface = &iface_in;
-            let projs = &self.interface_projs;
-            let mut tasks: Vec<(&mut MemoryUnit, &mut Vec<f32>)> =
-                self.shards.iter_mut().zip(shard_reads.iter_mut()).collect();
-            tasks.par_iter_mut().enumerate().for_each(|(s, (shard, out))| {
-                let raw = projs[s].matvec(iface);
-                let iv = InterfaceVector::parse(&raw, w, r);
-                **out = shard.step(&iv).flattened();
-            });
-        } else {
-            for ((shard, proj), out) in
-                self.shards.iter_mut().zip(&self.interface_projs).zip(shard_reads.iter_mut())
-            {
-                let raw = proj.matvec(&iface_in);
-                let iv = InterfaceVector::parse(&raw, w, r);
-                *out = shard.step(&iv).flattened();
-            }
-        }
-
-        // Global read vector: trainable weighted sum (Eq. 4).
-        self.last_read = self.merge.merge(&shard_reads);
-
-        let mut out_in = Vec::with_capacity(hidden.len() + self.last_read.len());
-        out_in.extend_from_slice(&hidden);
-        out_in.extend_from_slice(&self.last_read);
-        let y = self.output_proj.matvec(&out_in);
-        self.last_hidden = hidden;
-
-        (shard_reads, y)
+        self.engine.step(input)
     }
 
     /// Runs a whole input sequence, returning one output per step.
     pub fn run_sequence(&mut self, inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
         inputs.iter().map(|x| self.step(x)).collect()
-    }
-
-    /// Creates a [`crate::BatchDncD`] of `batch` blank lanes sharing this
-    /// model's weights, shard layout and read-merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    #[deprecated(
-        note = "compose with `EngineBuilder::new(params).sharded(tiles).lanes(batch).merge(..).build()`"
-    )]
-    pub fn batched(&self, batch: usize) -> crate::BatchDncD {
-        self.batched_with(batch, crate::Datapath::F32)
-    }
-
-    /// Builder plumbing: `batch` blank lanes sharing this model's weights,
-    /// shard layout and read-merge, with shard memory units on the given
-    /// datapath.
-    pub(crate) fn batched_with(&self, batch: usize, datapath: crate::Datapath) -> crate::BatchDncD {
-        crate::BatchDncD::from_parts(
-            self.params,
-            self.controller.clone(),
-            self.interface_projs.clone(),
-            self.output_proj.clone(),
-            self.merge.clone(),
-            self.shards.iter().map(|s| *s.config()).collect(),
-            batch,
-            datapath,
-        )
     }
 
     /// Calibrates the merge weights against a reference DNC on a
@@ -486,12 +337,13 @@ impl DncD {
         self.reset();
         let mut samples = Vec::with_capacity(inputs.len());
         for x in inputs {
-            let (_, _y_ref) = reference.step_detailed(x);
+            reference.step(x);
             let target = reference.last_read().to_vec();
-            let (shard_reads, _) = self.step_detailed(x);
+            self.step(x);
+            let shard_reads = self.engine.shard_reads(0).map(<[f32]>::to_vec).collect();
             samples.push((shard_reads, target));
         }
-        self.merge = ReadMerge::calibrate(&samples, self.shards.len());
+        self.set_merge(ReadMerge::calibrate(&samples, self.tiles()));
         reference.reset();
         self.reset();
     }
@@ -500,6 +352,7 @@ impl DncD {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::KernelId;
     use crate::Dnc;
 
     fn params() -> DncParams {
@@ -535,10 +388,16 @@ mod tests {
 
     #[test]
     fn uneven_shard_split_covers_memory() {
-        let p = DncParams::new(10, 4, 1).with_io(4, 4);
-        let dncd = DncD::new(p, 3, 1);
-        let total: usize = dncd.shards().iter().map(|s| s.config().memory_size).sum();
-        assert_eq!(total, 10);
+        for n in 1..=64 {
+            let p = DncParams::new(n, 1, 1).with_hidden(1).with_io(1, 1);
+            for tiles in 1..=n {
+                let dncd = DncD::new(p, tiles, 1);
+                let rows: Vec<usize> =
+                    dncd.shards().iter().map(|s| s.config().memory_size).collect();
+                assert_eq!(rows.iter().sum::<usize>(), n, "N={n} T={tiles}: {rows:?}");
+                assert!(rows.iter().all(|&r| r >= 1), "N={n} T={tiles}: {rows:?}");
+            }
+        }
     }
 
     #[test]

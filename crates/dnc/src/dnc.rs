@@ -3,29 +3,16 @@
 //! One [`Dnc::step`] performs: controller inference on the input
 //! concatenated with the previous read vectors, interface-vector projection
 //! and parsing, one memory-unit soft write + soft read, and the output
-//! projection over `[h_t ; v_r]`.
+//! projection over `[h_t ; v_r]`. [`Dnc`] is a one-lane view over the one
+//! engine, [`BatchDncD`] with a single tile covering all `N` rows: it owns
+//! no step code of its own.
 
-use crate::interface::InterfaceVector;
-use crate::lstm::Lstm;
-use crate::memory::{MemoryConfig, MemoryUnit, ReadResult};
-use crate::profile::{KernelId, KernelProfile};
+use crate::batch::BatchDncD;
+use crate::builder::Datapath;
+use crate::engine::MemoryEngine;
+use crate::memory::{MemoryConfig, MemoryUnit};
+use crate::profile::KernelProfile;
 use crate::DncParams;
-use hima_tensor::Matrix;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Builds a scaled-uniform projection matrix; shared with the distributed
-/// model so `DncD` with one shard is weight-identical to `Dnc`.
-pub(crate) fn projection(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let scale = 1.0 / (cols as f32).sqrt();
-    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-scale..scale))
-}
-
-/// Seed offsets so each weight block draws an independent stream.
-pub(crate) const SEED_LSTM: u64 = 0x11;
-pub(crate) const SEED_INTERFACE: u64 = 0x22;
-pub(crate) const SEED_OUTPUT: u64 = 0x33;
 
 /// A complete Differentiable Neural Computer.
 ///
@@ -42,19 +29,13 @@ pub(crate) const SEED_OUTPUT: u64 = 0x33;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dnc {
-    params: DncParams,
-    controller: Lstm,
-    interface_proj: Matrix,
-    output_proj: Matrix,
-    memory: MemoryUnit,
-    last_read: Vec<f32>,
-    last_hidden: Vec<f32>,
-    profile: KernelProfile,
+    engine: BatchDncD,
 }
 
 impl Dnc {
     /// Creates a DNC with procedurally initialized weights and an exact
-    /// (centralized-sorter, exact-softmax) memory unit.
+    /// (centralized-sorter, exact-softmax) memory unit. Kernel sampling
+    /// is on.
     pub fn new(params: DncParams, seed: u64) -> Self {
         let mem_cfg = MemoryConfig::new(params.memory_size, params.word_size, params.read_heads);
         Self::with_memory_config(params, mem_cfg, seed)
@@ -70,82 +51,49 @@ impl Dnc {
         assert_eq!(mem_cfg.memory_size, params.memory_size, "memory geometry mismatch");
         assert_eq!(mem_cfg.word_size, params.word_size, "word size mismatch");
         assert_eq!(mem_cfg.read_heads, params.read_heads, "read head mismatch");
-
-        let read_width = params.read_heads * params.word_size;
-        let controller = Lstm::new(params.input_size + read_width, params.hidden_size, seed ^ SEED_LSTM);
-        // The interface vector projects from [h_t ; x_t]: the input skip
-        // connection keeps write/read keys directly conditioned on the
-        // current token (Graves et al.'s controller emits the interface
-        // from all layer outputs, input included).
-        let interface_proj = projection(
-            params.interface_size(),
-            params.hidden_size + params.input_size,
-            seed ^ SEED_INTERFACE,
-        );
-        let output_proj =
-            projection(params.output_size, params.hidden_size + read_width, seed ^ SEED_OUTPUT);
-        Self {
-            params,
-            controller,
-            interface_proj,
-            output_proj,
-            memory: MemoryUnit::new(mem_cfg),
-            last_read: vec![0.0; read_width],
-            last_hidden: vec![0.0; params.hidden_size],
-            profile: KernelProfile::new(),
-        }
+        Self { engine: BatchDncD::new(params, mem_cfg, 1, Datapath::F32, 1, seed) }
     }
 
     /// The model hyper-parameters.
     pub fn params(&self) -> &DncParams {
-        &self.params
+        self.engine.params()
     }
 
     /// The memory unit (for state inspection).
     pub fn memory(&self) -> &MemoryUnit {
-        &self.memory
+        self.engine.shard_units(0).next().expect("one tile")
     }
 
     /// The read vectors fed to the controller at the next step.
     pub fn last_read(&self) -> &[f32] {
-        &self.last_read
+        self.engine.last_read_row(0)
     }
 
     /// The feature vector `[h_t ; v_r]` the output projection consumes —
     /// also the features a trained readout regresses on.
     pub fn last_features(&self) -> Vec<f32> {
-        let mut f = Vec::with_capacity(self.last_hidden.len() + self.last_read.len());
-        f.extend_from_slice(&self.last_hidden);
-        f.extend_from_slice(&self.last_read);
-        f
+        self.engine.last_features_rows().as_slice().to_vec()
     }
 
     /// Merged kernel profile (controller + memory unit).
     pub fn profile(&self) -> KernelProfile {
-        let mut p = self.profile.clone();
-        p.merge(self.memory.profile());
-        p
+        self.engine.profile()
     }
 
     /// Clears all profiling counters.
     pub fn reset_profile(&mut self) {
-        self.profile.reset();
-        self.memory.reset_profile();
+        self.engine.reset_profile();
     }
 
     /// Switches wall-clock kernel sampling on or off for controller and
     /// memory unit alike.
     pub fn set_profiling(&mut self, on: bool) {
-        self.profile.set_enabled(on);
-        self.memory.set_profiling(on);
+        self.engine.set_profiling(on);
     }
 
     /// Resets memory and recurrent state (weights unchanged).
     pub fn reset(&mut self) {
-        self.controller.reset();
-        self.memory.reset();
-        self.last_read = vec![0.0; self.params.read_heads * self.params.word_size];
-        self.last_hidden = vec![0.0; self.params.hidden_size];
+        self.engine.reset();
     }
 
     /// Runs one time step and returns the output vector.
@@ -154,70 +102,12 @@ impl Dnc {
     ///
     /// Panics if `input.len() != params.input_size`.
     pub fn step(&mut self, input: &[f32]) -> Vec<f32> {
-        let (_, y) = self.step_detailed(input);
-        y
-    }
-
-    /// Runs one time step, returning the memory read result and the output.
-    pub fn step_detailed(&mut self, input: &[f32]) -> (ReadResult, Vec<f32>) {
-        assert_eq!(input.len(), self.params.input_size, "input width mismatch");
-
-        // Controller on [x_t ; v_r^{t-1}].
-        let mut ctrl_in = Vec::with_capacity(input.len() + self.last_read.len());
-        ctrl_in.extend_from_slice(input);
-        ctrl_in.extend_from_slice(&self.last_read);
-        let controller = &mut self.controller;
-        let hidden = self.profile.time(KernelId::Lstm, || controller.step(&ctrl_in));
-
-        // Interface projection + parse (input skip connection).
-        let mut iface_in = Vec::with_capacity(hidden.len() + input.len());
-        iface_in.extend_from_slice(&hidden);
-        iface_in.extend_from_slice(input);
-        let raw_iface = self.interface_proj.matvec(&iface_in);
-        let iv = InterfaceVector::parse(&raw_iface, self.params.word_size, self.params.read_heads);
-
-        // Memory unit step.
-        let read = self.memory.step(&iv);
-        self.last_read = read.flattened();
-
-        // Output projection over [h ; v_r].
-        let mut out_in = Vec::with_capacity(hidden.len() + self.last_read.len());
-        out_in.extend_from_slice(&hidden);
-        out_in.extend_from_slice(&self.last_read);
-        let y = self.output_proj.matvec(&out_in);
-        self.last_hidden = hidden;
-
-        (read, y)
+        self.engine.step(input)
     }
 
     /// Runs a whole input sequence, returning one output per step.
     pub fn run_sequence(&mut self, inputs: &[Vec<f32>]) -> Vec<Vec<f32>> {
         inputs.iter().map(|x| self.step(x)).collect()
-    }
-
-    /// Creates a [`crate::BatchDnc`] of `batch` blank lanes sharing this
-    /// model's weights and memory configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    #[deprecated(note = "compose with `EngineBuilder::new(params).lanes(batch).seed(seed).build()`")]
-    pub fn batched(&self, batch: usize) -> crate::BatchDnc {
-        self.batched_with(batch, crate::Datapath::F32)
-    }
-
-    /// Builder plumbing: `batch` blank lanes sharing this model's weights,
-    /// with the lane memory units on the given datapath.
-    pub(crate) fn batched_with(&self, batch: usize, datapath: crate::Datapath) -> crate::BatchDnc {
-        crate::BatchDnc::from_parts(
-            self.params,
-            self.controller.clone(),
-            self.interface_proj.clone(),
-            self.output_proj.clone(),
-            *self.memory.config(),
-            batch,
-            datapath,
-        )
     }
 }
 
@@ -226,6 +116,7 @@ mod tests {
     use super::*;
     use crate::allocation::SkimRate;
     use crate::memory::SorterKind;
+    use crate::profile::KernelId;
 
     fn params() -> DncParams {
         DncParams::new(16, 4, 2).with_hidden(24).with_io(5, 6)

@@ -2,16 +2,14 @@
 //!
 //! HiMA's premise is **one** memory-access engine serving many
 //! configurations — monolithic DNC, `N_t`-sharded DNC-D, batched lanes,
-//! fixed-point datapaths. This module gives the functional models the same
-//! shape: every variant ([`Dnc`], [`DncD`], [`BatchDnc`], [`BatchDncD`],
-//! and the quantized-datapath engines built by
-//! [`EngineBuilder`](crate::EngineBuilder)) steps through one trait, so
+//! fixed-point datapaths. The functional model has the same shape: one
+//! engine, [`BatchDncD`](crate::BatchDncD), configured by
+//! [`EngineBuilder`](crate::EngineBuilder), steps through this trait, so
 //! harnesses and figure binaries sweep topology × lanes × datapath from a
 //! single code path.
 //!
-//! The canonical signatures are the *batched* ones: a step consumes a
-//! `B × input_size` block and produces a `B × output_size` block. The
-//! single-example models implement them with `B = 1`, and the provided
+//! The signatures are batched: a step consumes a `B × input_size` block
+//! and produces a `B × output_size` block, and the provided
 //! [`MemoryEngine::step`] is the `B = 1` convenience on top.
 //!
 //! # Example
@@ -33,23 +31,22 @@
 //! }
 //! ```
 
-use crate::batch::{BatchDnc, BatchDncD, LaneState};
-use crate::distributed::DncD;
-use crate::dnc::Dnc;
+use crate::batch::LaneState;
 use crate::profile::KernelProfile;
 use crate::DncParams;
 use hima_tensor::{LaneMask, Matrix};
 
-/// One stepping API over every DNC execution-engine variant.
+/// One stepping API over every DNC engine configuration.
 ///
-/// Implementors process `B` independent lanes through shared weights; the
-/// monolithic single-example models are `B = 1` engines. All methods are
-/// object safe — harnesses typically hold a
+/// The engine processes `B` independent lanes through shared weights.
+/// All methods are object safe — harnesses typically hold a
 /// [`BoxedEngine`](crate::BoxedEngine) from
 /// [`EngineBuilder::build`](crate::EngineBuilder::build).
 pub trait MemoryEngine {
     /// Runs one time step for every lane: `inputs` is `B × input_size`
     /// (row `b` is lane `b`'s token); the result is `B × output_size`.
+    /// Allocating convenience over [`MemoryEngine::step_batch_into`] (the
+    /// one allocation is the returned output block).
     ///
     /// # Panics
     ///
@@ -60,56 +57,33 @@ pub trait MemoryEngine {
     /// `mask` marks active advance (bit-identically to stepping each
     /// lane's episode alone), while an inactive lane's state — recurrent,
     /// memory, last read vector — stays frozen and its input row is
-    /// treated as padding. Inactive rows of the returned block are zero.
-    ///
-    /// The default implementation is the **uniform shim**: it accepts
-    /// only fully-active masks (delegating to
-    /// [`MemoryEngine::step_batch`]) so existing single-lane engines keep
-    /// compiling; the batched engines ([`BatchDnc`], [`BatchDncD`] — and
-    /// therefore everything [`EngineBuilder`](crate::EngineBuilder)
-    /// builds) override it with true masked stepping.
+    /// treated as padding. Inactive rows of the returned block are zero;
+    /// a fully-active mask *is* [`MemoryEngine::step_batch`].
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` is not `B × input_size`, if
-    /// `mask.lanes() != B`, or (default shim only) if the mask is not
-    /// fully active.
-    fn step_batch_masked(&mut self, inputs: &Matrix, mask: &LaneMask) -> Matrix {
-        assert_eq!(mask.lanes(), self.batch(), "lane mask size mismatch");
-        assert!(
-            mask.is_full(),
-            "this engine supports only fully-active masks (uniform shim); \
-             build a batched engine for ragged stepping"
-        );
-        self.step_batch(inputs)
-    }
+    /// Panics if `inputs` is not `B × input_size` or
+    /// `mask.lanes() != B`.
+    fn step_batch_masked(&mut self, inputs: &Matrix, mask: &LaneMask) -> Matrix;
 
     /// Output-buffer form of [`MemoryEngine::step_batch`]: writes the
     /// `B × output_size` block into `out` (resized in place on shape
-    /// mismatch). The batched engines override this with their
-    /// zero-allocation workspace path; the default delegates to
-    /// [`MemoryEngine::step_batch`] and moves the result into `out`, so
-    /// every implementor stays valid. Bit-identical to `step_batch` by
-    /// construction either way.
+    /// mismatch) with **zero heap allocations** in the steady state,
+    /// bit-identical to `step_batch`.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is not `B × input_size`.
-    fn step_batch_into(&mut self, inputs: &Matrix, out: &mut Matrix) {
-        *out = self.step_batch(inputs);
-    }
+    fn step_batch_into(&mut self, inputs: &Matrix, out: &mut Matrix);
 
     /// Output-buffer form of [`MemoryEngine::step_batch_masked`] (see
-    /// [`MemoryEngine::step_batch_into`] for the override/default
-    /// contract).
+    /// [`MemoryEngine::step_batch_into`]).
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` is not `B × input_size`, `mask.lanes() != B`,
-    /// or (default shim only) the mask is not fully active.
-    fn step_batch_masked_into(&mut self, inputs: &Matrix, mask: &LaneMask, out: &mut Matrix) {
-        *out = self.step_batch_masked(inputs, mask);
-    }
+    /// Panics if `inputs` is not `B × input_size` or
+    /// `mask.lanes() != B`.
+    fn step_batch_masked_into(&mut self, inputs: &Matrix, mask: &LaneMask, out: &mut Matrix);
 
     /// Number of batch lanes `B`.
     fn batch(&self) -> usize;
@@ -154,17 +128,14 @@ pub trait MemoryEngine {
 
     /// Detaches a snapshot of lane `lane`'s complete session state — the
     /// state-splice primitive a serving grid uses to park a session off
-    /// the grid. Batched engines override this; single-lane engines keep
-    /// the panicking default (their whole state *is* the session).
+    /// the grid. The lane itself is untouched; re-attaching the snapshot
+    /// with [`MemoryEngine::import_lane`] — to any lane of any engine
+    /// built from the same spec/params/seed — is a bit-exact round trip.
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= batch()`, or (default) if the engine does not
-    /// support lane-state splicing.
-    fn export_lane(&self, lane: usize) -> LaneState {
-        let _ = lane;
-        panic!("this engine does not support lane-state splicing; build a batched engine");
-    }
+    /// Panics if `lane >= batch()`.
+    fn export_lane(&self, lane: usize) -> LaneState;
 
     /// Splices a snapshot from [`MemoryEngine::export_lane`] into lane
     /// `lane`. After the splice the lane steps bit-identically to the
@@ -172,24 +143,17 @@ pub trait MemoryEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= batch()` or the snapshot's geometry disagrees,
-    /// or (default) if the engine does not support lane-state splicing.
-    fn import_lane(&mut self, lane: usize, state: &LaneState) {
-        let _ = (lane, state);
-        panic!("this engine does not support lane-state splicing; build a batched engine");
-    }
+    /// Panics if `lane >= batch()` or the snapshot's geometry disagrees.
+    fn import_lane(&mut self, lane: usize, state: &LaneState);
 
     /// Resets a *single* lane to blank state, leaving every other lane
-    /// untouched — how a serving grid recycles a freed lane slot.
+    /// untouched — how a serving grid recycles a freed lane slot. A reset
+    /// lane steps bit-identically to a lane of a freshly built engine.
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= batch()`, or (default) if the engine does not
-    /// support lane-state splicing.
-    fn reset_lane(&mut self, lane: usize) {
-        let _ = lane;
-        panic!("this engine does not support lane-state splicing; build a batched engine");
-    }
+    /// Panics if `lane >= batch()`.
+    fn reset_lane(&mut self, lane: usize);
 
     /// Runs a whole synchronized sequence: `steps[t]` is the
     /// `B × input_size` block for time `t`; returns one `B × output_size`
@@ -212,299 +176,88 @@ pub trait MemoryEngine {
     }
 }
 
-impl MemoryEngine for Dnc {
-    fn step_batch(&mut self, inputs: &Matrix) -> Matrix {
-        assert_eq!(inputs.rows(), 1, "Dnc is a single-lane engine");
-        let y = Dnc::step(self, inputs.row(0));
-        Matrix::from_rows(&[y])
-    }
-
-    fn batch(&self) -> usize {
-        1
-    }
-
-    fn params(&self) -> &DncParams {
-        Dnc::params(self)
-    }
-
-    fn last_read_rows(&self) -> Matrix {
-        Matrix::from_rows(&[self.last_read()])
-    }
-
-    fn last_read_row(&self, lane: usize) -> &[f32] {
-        assert_eq!(lane, 0, "Dnc is a single-lane engine");
-        self.last_read()
-    }
-
-    fn last_features_rows(&self) -> Matrix {
-        Matrix::from_rows(&[self.last_features()])
-    }
-
-    fn profile(&self) -> KernelProfile {
-        Dnc::profile(self)
-    }
-
-    fn set_profiling(&mut self, on: bool) {
-        Dnc::set_profiling(self, on);
-    }
-
-    fn reset(&mut self) {
-        Dnc::reset(self);
-    }
-}
-
-impl MemoryEngine for DncD {
-    fn step_batch(&mut self, inputs: &Matrix) -> Matrix {
-        assert_eq!(inputs.rows(), 1, "DncD is a single-lane engine");
-        let y = DncD::step(self, inputs.row(0));
-        Matrix::from_rows(&[y])
-    }
-
-    fn batch(&self) -> usize {
-        1
-    }
-
-    fn params(&self) -> &DncParams {
-        DncD::params(self)
-    }
-
-    fn last_read_rows(&self) -> Matrix {
-        Matrix::from_rows(&[self.last_read()])
-    }
-
-    fn last_read_row(&self, lane: usize) -> &[f32] {
-        assert_eq!(lane, 0, "DncD is a single-lane engine");
-        self.last_read()
-    }
-
-    fn last_features_rows(&self) -> Matrix {
-        Matrix::from_rows(&[self.last_features()])
-    }
-
-    fn profile(&self) -> KernelProfile {
-        DncD::profile(self)
-    }
-
-    fn set_profiling(&mut self, on: bool) {
-        DncD::set_profiling(self, on);
-    }
-
-    fn reset(&mut self) {
-        DncD::reset(self);
-    }
-}
-
-impl MemoryEngine for BatchDnc {
-    fn step_batch(&mut self, inputs: &Matrix) -> Matrix {
-        BatchDnc::step_batch(self, inputs)
-    }
-
-    fn step_batch_masked(&mut self, inputs: &Matrix, mask: &LaneMask) -> Matrix {
-        BatchDnc::step_batch_masked(self, inputs, mask)
-    }
-
-    fn step_batch_into(&mut self, inputs: &Matrix, out: &mut Matrix) {
-        BatchDnc::step_batch_into(self, inputs, out);
-    }
-
-    fn step_batch_masked_into(&mut self, inputs: &Matrix, mask: &LaneMask, out: &mut Matrix) {
-        BatchDnc::step_batch_masked_into(self, inputs, mask, out);
-    }
-
-    fn batch(&self) -> usize {
-        BatchDnc::batch(self)
-    }
-
-    fn params(&self) -> &DncParams {
-        BatchDnc::params(self)
-    }
-
-    fn last_read_rows(&self) -> Matrix {
-        self.last_read().clone()
-    }
-
-    fn last_read_row(&self, lane: usize) -> &[f32] {
-        self.last_read().row(lane)
-    }
-
-    fn last_features_rows(&self) -> Matrix {
-        self.last_features()
-    }
-
-    fn profile(&self) -> KernelProfile {
-        BatchDnc::profile(self)
-    }
-
-    fn set_profiling(&mut self, on: bool) {
-        BatchDnc::set_profiling(self, on);
-    }
-
-    fn reset(&mut self) {
-        BatchDnc::reset(self);
-    }
-
-    fn export_lane(&self, lane: usize) -> LaneState {
-        BatchDnc::export_lane(self, lane)
-    }
-
-    fn import_lane(&mut self, lane: usize, state: &LaneState) {
-        BatchDnc::import_lane(self, lane, state);
-    }
-
-    fn reset_lane(&mut self, lane: usize) {
-        BatchDnc::reset_lane(self, lane);
-    }
-}
-
-impl MemoryEngine for BatchDncD {
-    fn step_batch(&mut self, inputs: &Matrix) -> Matrix {
-        BatchDncD::step_batch(self, inputs)
-    }
-
-    fn step_batch_masked(&mut self, inputs: &Matrix, mask: &LaneMask) -> Matrix {
-        BatchDncD::step_batch_masked(self, inputs, mask)
-    }
-
-    fn step_batch_into(&mut self, inputs: &Matrix, out: &mut Matrix) {
-        BatchDncD::step_batch_into(self, inputs, out);
-    }
-
-    fn step_batch_masked_into(&mut self, inputs: &Matrix, mask: &LaneMask, out: &mut Matrix) {
-        BatchDncD::step_batch_masked_into(self, inputs, mask, out);
-    }
-
-    fn batch(&self) -> usize {
-        BatchDncD::batch(self)
-    }
-
-    fn params(&self) -> &DncParams {
-        BatchDncD::params(self)
-    }
-
-    fn last_read_rows(&self) -> Matrix {
-        self.last_read().clone()
-    }
-
-    fn last_read_row(&self, lane: usize) -> &[f32] {
-        self.last_read().row(lane)
-    }
-
-    fn last_features_rows(&self) -> Matrix {
-        self.last_features()
-    }
-
-    fn profile(&self) -> KernelProfile {
-        BatchDncD::profile(self)
-    }
-
-    fn set_profiling(&mut self, on: bool) {
-        BatchDncD::set_profiling(self, on);
-    }
-
-    fn reset(&mut self) {
-        BatchDncD::reset(self);
-    }
-
-    fn export_lane(&self, lane: usize) -> LaneState {
-        BatchDncD::export_lane(self, lane)
-    }
-
-    fn import_lane(&mut self, lane: usize, state: &LaneState) {
-        BatchDncD::import_lane(self, lane, state);
-    }
-
-    fn reset_lane(&mut self, lane: usize) {
-        BatchDncD::reset_lane(self, lane);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::EngineBuilder;
+    use crate::Dnc;
 
     fn params() -> DncParams {
         DncParams::new(16, 4, 1).with_hidden(16).with_io(4, 4)
     }
 
-    /// Drives any engine through the trait only.
-    fn drive(engine: &mut dyn MemoryEngine, steps: usize) -> Matrix {
+    fn fnv1a(hash: &mut u64, values: &[f32]) {
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                *hash ^= u64::from(byte);
+                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Drives any engine through the trait only; returns the FNV-1a
+    /// digest of its outputs, then its read and feature rows.
+    fn drive(engine: &mut dyn MemoryEngine, steps: usize) -> u64 {
         let b = engine.batch();
-        let mut last = Matrix::zeros(b, engine.params().output_size);
+        let mut hash = 0xcbf2_9ce4_8422_2325;
         for t in 0..steps {
             let x = Matrix::from_fn(b, engine.params().input_size, |lane, i| {
                 (((lane * 31 + t * 7 + i) as f32) * 0.19).sin()
             });
-            last = engine.step_batch(&x);
+            fnv1a(&mut hash, engine.step_batch(&x).as_slice());
         }
-        last
+        fnv1a(&mut hash, engine.last_read_rows().as_slice());
+        fnv1a(&mut hash, engine.last_features_rows().as_slice());
+        hash
     }
 
+    /// Digests recorded from the sequential `Dnc` and `DncD(2)` models
+    /// (seed 3) before they became views over the one engine.
     #[test]
     fn all_variants_step_through_the_trait() {
-        let mut dnc = Dnc::new(params(), 3);
-        let mut dncd = DncD::new(params(), 2, 3);
-        let engines: [&mut dyn MemoryEngine; 2] = [&mut dnc, &mut dncd];
-        for engine in engines {
-            let y = drive(engine, 3);
-            assert_eq!(y.shape(), (1, 4));
+        let recorded = [0xbfd9_4384_406f_04eb, 0xc49c_d4ac_caa3_91cf];
+        let builders = [EngineBuilder::new(params()), EngineBuilder::new(params()).sharded(2)];
+        for (builder, want) in builders.into_iter().zip(recorded) {
+            let label = builder.spec().label();
+            let mut engine = builder.seed(3).build();
+            assert_eq!(drive(engine.as_mut(), 3), want, "{label}");
             assert_eq!(engine.last_read_rows().shape(), (1, 4));
             assert_eq!(engine.last_features_rows().shape(), (1, 16 + 4));
         }
     }
 
+    /// Output bits recorded from the sequential `Dnc` (seed 9) before it
+    /// became a view over the one engine.
     #[test]
     fn trait_step_matches_inherent_step_for_dnc() {
         let x = [0.3f32, -0.2, 0.5, 0.1];
-        let mut a = Dnc::new(params(), 9);
-        let mut b = Dnc::new(params(), 9);
-        let ya = Dnc::step(&mut a, &x);
-        let yb = MemoryEngine::step(&mut b, &x);
-        assert_eq!(ya, yb);
+        let recorded = [0xbc06_fbca, 0x3c7e_82b2, 0x3c24_34c3, 0xbb28_6ea4];
+        let mut engine = EngineBuilder::new(params()).seed(9).build();
+        let y = MemoryEngine::step(engine.as_mut(), &x);
+        assert_eq!(y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), recorded);
+        assert_eq!(Dnc::new(params(), 9).step(&x), y);
     }
 
     #[test]
     fn run_sequence_batch_default_matches_stepping() {
         let steps: Vec<Matrix> =
             (0..4).map(|t| Matrix::filled(1, 4, t as f32 * 0.1)).collect();
-        let mut a = Dnc::new(params(), 5);
-        let seq = MemoryEngine::run_sequence_batch(&mut a, &steps);
-        let mut b = Dnc::new(params(), 5);
+        let mut a = EngineBuilder::new(params()).seed(5).build();
+        let seq = a.run_sequence_batch(&steps);
+        let mut b = EngineBuilder::new(params()).seed(5).build();
         for (x, want) in steps.iter().zip(&seq) {
-            assert_eq!(&MemoryEngine::step_batch(&mut b, x), want);
+            assert_eq!(&b.step_batch(x), want);
         }
     }
 
     #[test]
-    #[should_panic(expected = "single-lane engine")]
+    #[should_panic(expected = "batch size mismatch")]
     fn dnc_rejects_multi_row_blocks() {
-        MemoryEngine::step_batch(&mut Dnc::new(params(), 1), &Matrix::zeros(2, 4));
-    }
-
-    #[test]
-    fn default_masked_shim_accepts_full_masks() {
-        let x = Matrix::filled(1, 4, 0.2);
-        let mut a = Dnc::new(params(), 3);
-        let mut b = Dnc::new(params(), 3);
-        let ya = MemoryEngine::step_batch(&mut a, &x);
-        let yb =
-            MemoryEngine::step_batch_masked(&mut b, &x, &hima_tensor::LaneMask::full(1));
-        assert_eq!(ya, yb, "the uniform shim is step_batch");
-    }
-
-    #[test]
-    #[should_panic(expected = "fully-active masks")]
-    fn default_masked_shim_rejects_partial_masks() {
-        let mut dnc = Dnc::new(params(), 1);
-        MemoryEngine::step_batch_masked(
-            &mut dnc,
-            &Matrix::zeros(1, 4),
-            &hima_tensor::LaneMask::from(vec![false]),
-        );
+        EngineBuilder::new(params()).build().step_batch(&Matrix::zeros(2, 4));
     }
 
     #[test]
     fn batched_engines_override_the_shim_with_true_masking() {
-        use crate::builder::EngineBuilder;
         let p = params();
         let mut engine = EngineBuilder::new(p).lanes(2).seed(4).build();
         let x = Matrix::filled(2, 4, 0.1);

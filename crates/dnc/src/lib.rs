@@ -15,12 +15,15 @@
 //!   precedence, forward/backward,
 //! * the memory unit gluing them together ([`memory`]),
 //! * the LSTM controller and interface vector ([`lstm`], [`interface`]),
-//! * the complete model ([`dnc`]) and the distributed variant
-//!   ([`distributed`]),
+//! * the one execution engine ([`batch`]): an `N_t`-tile DNC-D stepping
+//!   `B` lanes through shared weights, where one tile is the centralized
+//!   DNC,
 //! * the unified stepping API ([`engine`]) and the composable constructor
-//!   ([`builder`]) that together expose every variant — monolithic or
-//!   sharded topology × batch lanes × f32 or fixed-point datapath —
+//!   ([`builder`]) that together expose every configuration — monolithic
+//!   or sharded topology × batch lanes × f32 or fixed-point datapath —
 //!   behind one [`MemoryEngine`] trait,
+//! * the sequential single-example models ([`dnc`], [`distributed`]):
+//!   one-lane views over the engine for state inspection,
 //! * the per-engine [`StepWorkspace`] ([`workspace`]) of pre-sized scratch
 //!   buffers that makes steady-state stepping zero-heap-allocation (the
 //!   `_into` entry points; the allocating ones are thin wrappers),
@@ -44,7 +47,7 @@
 //! ```
 //!
 //! The sequential single-example models remain first-class for
-//! state-inspection workflows and implement the same trait:
+//! state-inspection workflows:
 //!
 //! ```
 //! use hima_dnc::{Dnc, DncParams};
@@ -73,8 +76,7 @@ pub mod usage;
 pub mod workspace;
 
 pub use crate::dnc::Dnc;
-pub use batch::{BatchDnc, BatchDncD};
-pub use batch::LaneState;
+pub use batch::{BatchDncD, LaneState};
 pub use builder::{BoxedEngine, Datapath, EngineBuilder, EngineSpec, SpecError, Topology};
 pub use distributed::{DncD, ReadMerge};
 pub use engine::MemoryEngine;

@@ -48,7 +48,7 @@ impl QuantizedMemoryUnit {
         &self.inner
     }
 
-    /// Mutable access to the wrapped unit — the
+    /// Mutable access to the wrapped unit — for profiling control and the
     /// [`LaneState`](crate::LaneState) codec's restore path (state bytes
     /// were rounded to the Q-format before they were snapshotted, so
     /// writing them back verbatim preserves the datapath invariant).

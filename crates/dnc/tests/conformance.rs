@@ -6,8 +6,9 @@
 //!
 //! * **batched ≡ sequential**: a `lanes(B)` engine reproduces `B`
 //!   independent `lanes(1)` engines bit-for-bit,
-//! * **legacy anchoring**: the builder's monolithic/sharded f32 builds are
-//!   bit-identical to `Dnc::new` / `DncD::new` with the same seed,
+//! * **legacy anchoring**: the builder's monolithic/sharded f32 builds
+//!   reproduce digests recorded from the sequential `Dnc::new` /
+//!   `DncD::new` models before those became views over the one engine,
 //! * **determinism across thread counts**: lane/shard fan-out never
 //!   perturbs results,
 //! * **reset** restores blank-lane behaviour,
@@ -107,26 +108,52 @@ fn batched_stepping_matches_sequential_lanes_bit_for_bit() {
     }
 }
 
-#[test]
-fn monolithic_f32_build_is_bit_identical_to_legacy_dnc() {
-    let streams = lane_streams(1, 6, 5);
-    let mut engine = builder(EngineSpec::monolithic()).build();
-    let mut legacy = Dnc::new(params(), SEED);
-    for (t, x) in streams[0].iter().enumerate() {
-        assert_eq!(engine.step(x), Dnc::step(&mut legacy, x), "t {t}");
-        assert_eq!(engine.last_read_rows().row(0), legacy.last_read(), "t {t}");
+/// FNV-1a digest of a single lane's outputs and carried read vectors
+/// over `steps` steps of lane stream 0.
+fn lane_digest(steps: usize, mut step: impl FnMut(&[f32]) -> (Vec<f32>, Vec<f32>)) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for x in &lane_streams(1, steps, 5)[0] {
+        let (y, read) = step(x);
+        for v in y.iter().chain(&read) {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
     }
+    hash
 }
 
+/// The digest was recorded from the sequential `Dnc::new(params(), SEED)`
+/// before it became a view over the one engine.
+#[test]
+fn monolithic_f32_build_is_bit_identical_to_legacy_dnc() {
+    const RECORDED: u64 = 0xad5e_9489_ac41_b4b0;
+    let mut engine = builder(EngineSpec::monolithic()).build();
+    let got = lane_digest(6, |x| (engine.step(x), engine.last_read_row(0).to_vec()));
+    assert_eq!(got, RECORDED, "builder engine");
+    let mut dnc = Dnc::new(params(), SEED);
+    let got = lane_digest(6, |x| (dnc.step(x), dnc.last_read().to_vec()));
+    assert_eq!(got, RECORDED, "Dnc view");
+}
+
+/// The digests were recorded from the sequential
+/// `DncD::new(params(), tiles, SEED)` before it became a view over the
+/// one engine.
 #[test]
 fn sharded_f32_build_is_bit_identical_to_legacy_dncd() {
-    for tiles in [1usize, 2, 4] {
-        let streams = lane_streams(1, 5, 5);
+    let recorded = [
+        (1, 0x204e_1fe5_bfe4_80f6),
+        (2, 0x729b_a367_bd59_5aed),
+        (4, 0x0beb_b712_5aa1_44b3),
+    ];
+    for (tiles, want) in recorded {
         let mut engine = builder(EngineSpec::sharded(tiles)).build();
-        let mut legacy = DncD::new(params(), tiles, SEED);
-        for (t, x) in streams[0].iter().enumerate() {
-            assert_eq!(engine.step(x), DncD::step(&mut legacy, x), "tiles {tiles} t {t}");
-        }
+        let got = lane_digest(5, |x| (engine.step(x), engine.last_read_row(0).to_vec()));
+        assert_eq!(got, want, "builder engine, tiles {tiles}");
+        let mut dncd = DncD::new(params(), tiles, SEED);
+        let got = lane_digest(5, |x| (dncd.step(x), dncd.last_read().to_vec()));
+        assert_eq!(got, want, "DncD view, tiles {tiles}");
     }
 }
 
@@ -252,13 +279,11 @@ fn seed_determinism_and_divergence_through_the_builder() {
 
 #[test]
 fn two_stage_sorter_axis_batches_identically() {
-    // The sorter knob lives on the builder (not the serializable spec):
-    // a monolithic engine with the two-stage hardware sort — combined
-    // with skimming and the PLA softmax, the deleted per-type property —
-    // must still batch bit-identically to its sequential lanes.
+    // A monolithic engine with the hardware approximations — skimming
+    // and the PLA softmax — must still batch bit-identically to its
+    // sequential lanes.
     let hw = |lanes: usize| {
         EngineBuilder::new(params())
-            .sorter(hima_dnc::memory::SorterKind::TwoStage { tiles: 4 })
             .skim(hima_dnc::allocation::SkimRate::new(0.2))
             .approx_softmax(true)
             .seed(SEED)

@@ -1,10 +1,10 @@
 //! **hima-serve**: a session server with continuous batching over masked
 //! lane grids.
 //!
-//! The batched engines ([`BatchDnc`](hima_dnc::BatchDnc) /
-//! [`BatchDncD`](hima_dnc::BatchDncD)) step `B` independent sequences
-//! through shared weights, and the [`LaneMask`](hima_dnc::LaneMask) tier
-//! freezes individual lanes bit-exactly. This crate turns that substrate
+//! The batched engine ([`BatchDncD`](hima_dnc::BatchDncD), whatever the
+//! topology) steps `B` independent sequences through shared weights, and
+//! the [`LaneMask`](hima_dnc::LaneMask) tier freezes individual lanes
+//! bit-exactly. This crate turns that substrate
 //! into a long-lived serving system:
 //!
 //! * [`session`] — the session registry: ids, per-configuration engine

@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment binaries.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper and prints the paper's reported values next to the measured ones.
-//! See EXPERIMENTS.md at the workspace root for the collected results.
+//! The binaries under `src/bin/` regenerate the paper's tables and
+//! figures, printing the paper's reported values next to the measured
+//! ones; `hima_cli` runs them by name and drives the serving stack.
 
 /// Prints a section header in the common format.
 pub fn header(title: &str) {

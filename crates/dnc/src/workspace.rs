@@ -3,10 +3,10 @@
 //!
 //! Every `step_batch` of the batched engines used to allocate dozens of
 //! transient `Matrix`/`Vec` buffers — the `hcat` feature blocks, the
-//! shared-weight projection outputs, the LSTM gate blocks. The throughput
-//! bench shows the steady-state step (not construction, not episode
-//! assembly) dominates serving workloads, so those transients are hoisted
-//! here: one workspace per engine, its buffers keyed by the engine
+//! shared-weight projection outputs, the LSTM gate blocks. The
+//! steady-state step (not construction, not episode assembly) dominates
+//! serving workloads, so those transients are hoisted here: one
+//! workspace per engine, its buffers keyed by the engine
 //! geometry `(B, N, W, R, H, I, O, N_t)` and reused across steps and
 //! across episodes (engines own their workspace, and
 //! [`reset`](crate::MemoryEngine::reset) never drops it).

@@ -19,6 +19,7 @@ use hima_tasks::tasks::TOKEN_WIDTH;
 use hima_tasks::{
     collect_query_samples, readout_accuracy, relative_error, EvalConfig, TrainedReadout, TASKS,
 };
+use hima_tensor::Backend;
 use proptest::prelude::*;
 
 /// The ≥ 3 worker/thread configurations the acceptance criteria pin,
@@ -70,6 +71,7 @@ fn query_samples_are_bit_identical_across_specs() {
     for builder in [
         EngineBuilder::new(params()).seed(5),
         EngineBuilder::new(params()).sharded(4).seed(5),
+        EngineBuilder::new(params()).sharded(4).backend(Backend::Blocked).seed(5),
     ] {
         let sync = collect_query_samples(&builder, &task.generate(episodes, seed).episodes);
         for spec in pinned_specs() {

@@ -22,8 +22,7 @@
 //! * [`server`] / [`client`] — a std-only threaded TCP front end and its
 //!   typed blocking client,
 //! * [`loadgen`] — an open-loop load generator reporting sessions/sec and
-//!   p50/p90/p99/max per-step latency (the `serve` section of the
-//!   throughput harness),
+//!   p50/p90/p99/max per-step latency (behind `hima_cli load`),
 //! * [`metrics`] — the server-wide [`ServeMetrics`] catalog over the
 //!   `hima-telemetry` substrate: scheduler tick/occupancy histograms,
 //!   session lifecycle counters and trace, wire traffic and per-command

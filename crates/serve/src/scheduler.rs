@@ -564,13 +564,15 @@ impl Group {
                 sess.since_snapshot = 0;
                 sess.replay_left = 0;
                 sess.log = None;
-                for deferred in sess.pending_reads.drain(..) {
-                    let _ = deferred.send(Response::Rows { read: sess.last_read.clone() });
-                }
+                // Account before replying: a client that wakes on a
+                // reply must already see the dropped queue in the gauges.
                 if was_parked {
                     self.shared.park_sub(1);
                 }
                 self.shared.queue_sub(queued as i64);
+                for deferred in sess.pending_reads.drain(..) {
+                    let _ = deferred.send(Response::Rows { read: sess.last_read.clone() });
+                }
                 self.drop_store_files(session);
                 let _ = reply.send(Response::Done);
             }
@@ -772,12 +774,12 @@ impl Group {
                     let dropped = sess.queue.len();
                     sess.queue.clear();
                     sess.deadline = None;
+                    self.shared.queue_sub(dropped as i64);
                     if let Some((reply, _, _)) = sess.reply.take() {
                         let _ = reply.send(Response::Error(ServeError::Store(format!(
                             "session {id}: delta-log append failed; step not applied"
                         ))));
                     }
-                    self.shared.queue_sub(dropped as i64);
                     continue;
                 }
                 self.metrics.store_log_appends.inc();

@@ -305,8 +305,7 @@ impl MetricsRegistry {
 }
 
 /// A point-in-time copy of a whole registry: the payload of the serving
-/// protocol's `Metrics` command and of the `throughput --json` telemetry
-/// section.
+/// protocol's `Metrics` command.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// `(name, value)` per registered counter, in registration order.

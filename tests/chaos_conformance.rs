@@ -78,8 +78,11 @@ fn counter(server: &Server, name: &str) -> u64 {
 
 /// Steps a session until the server acknowledges, retrying typed
 /// `Store` errors (the WAL-append failure path: the step was *not*
-/// applied, so resending it is exact-once by construction).
+/// applied, so resending it is exact-once by construction). Each
+/// `Store` error must arrive after the dropped step left the queue
+/// gauge: the scheduler accounts before it replies.
 fn step_retrying_store_errors(
+    server: &Server,
     client: &mut Client,
     session: u64,
     input: &[f32],
@@ -88,7 +91,11 @@ fn step_retrying_store_errors(
     for _ in 0..200 {
         match client.step(session, input) {
             Ok(y) => return (y, store_errors),
-            Err(ClientError::Server(ServeError::Store(_))) => store_errors += 1,
+            Err(ClientError::Server(ServeError::Store(_))) => {
+                store_errors += 1;
+                let depth = server.hub().metrics().snapshot().gauge("serve.scheduler.queue_depth");
+                assert_eq!(depth, Some(0), "Store error replied before the queue was accounted");
+            }
             Err(e) => panic!("unexpected error while stepping through disk faults: {e}"),
         }
     }
@@ -132,7 +139,8 @@ fn disk_faults_fail_typed_and_cleared_plans_serve_bit_identically() {
     let want = solo_outputs(&spec, 0, total);
     let mut typed_failures = 0u64;
     for (t, w) in want.iter().enumerate().take(8) {
-        let (y, retries) = step_retrying_store_errors(&mut client, session, &synth_input(0, t, p.input_size));
+        let input = synth_input(0, t, p.input_size);
+        let (y, retries) = step_retrying_store_errors(&server, &mut client, session, &input);
         typed_failures += retries;
         assert_eq!(&y, w, "step {t} diverged under disk faults");
     }
@@ -202,7 +210,8 @@ fn acked_steps_survive_kill_and_restart_under_disk_faults() {
     let session = client.open(&raw).unwrap();
     let mut got: Vec<Vec<f32>> = Vec::new();
     for t in 0..10 {
-        let (y, _) = step_retrying_store_errors(&mut client, session, &synth_input(0, t, p.input_size));
+        let input = synth_input(0, t, p.input_size);
+        let (y, _) = step_retrying_store_errors(&first, &mut client, session, &input);
         got.push(y);
     }
     assert!(plan.injected_disk() > 0, "no disk fault ever fired — the test is vacuous");
